@@ -279,10 +279,10 @@ bool streaming_aggregation_phase(std::size_t reps) {
       2.0 * 2.0 * stats::CensoredTimeAccumulator::kSketchCompression *
           static_cast<double>(sizeof(stats::TDigest::Centroid)) +
       static_cast<double>(mo.survival_bins * sizeof(std::uint64_t));
-  const std::size_t round =
-      sim::blocked_round_size(streaming_engine.executor());
+  const std::size_t in_flight =
+      sim::reduction_in_flight_bound(streaming_engine.executor());
   const double streaming_mb =
-      static_cast<double>(plan.cell_count() + round) * accumulator_bytes /
+      static_cast<double>(plan.cell_count() + in_flight) * accumulator_bytes /
       (1024.0 * 1024.0);
   const double buffered_mb =
       static_cast<double>(plan.cell_count()) * static_cast<double>(reps) *
@@ -664,13 +664,13 @@ bool soa_kernel_phase(std::vector<util::BenchRecord>& records) {
 
 /// Context residency at 10^4 cells: a same-topology enterprise128 sweep
 /// through measure_scenarios with streaming aggregation. The engine
-/// builds contexts lazily per scheduling round and shares the one
+/// builds each context on the first claim of its cell and shares the one
 /// reachability index, so the sweep's peak-RSS delta — measured AFTER
 /// plan construction, whose 10^4 Scenario copies are the caller's own
 /// storage — must stay far below what 10^4 eager contexts would cost
 /// (the pre-SoA path held every context for the whole call). Gates:
-/// one reachability build, peak residency a small multiple of the round
-/// width, RSS delta <= 64 MiB. The counters come from the obs::
+/// one reachability build, peak residency a small multiple of the thread
+/// count, RSS delta <= 64 MiB. The counters come from the obs::
 /// registry (core.context.*, the successor of the bespoke ContextStats
 /// struct); the registry is process-cumulative, so the phase reads a
 /// delta by zeroing it first. A DIVSEC_OBS=0 build keeps the RSS gate

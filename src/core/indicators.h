@@ -36,20 +36,6 @@ namespace divsec::core {
 
 enum class Engine { kCampaign, kStagedSan };
 
-/// How the streaming reduction schedules its superblock tasks on the
-/// executor. Both schedules perform the identical fold/merge sequence per
-/// task, so results are bit-identical; only wall time differs.
-///  * kElastic — shared atomic work queue over superblock tasks: a thread
-///    pulls the next task when free, so skewed per-cell costs (a
-///    monoculture arm simulating ~5x slower than a diversified one) no
-///    longer idle the pool behind one thread's static chunk. When the
-///    task count cannot feed every thread, the engine transparently falls
-///    back to the static block schedule (more parallelism, same bits).
-///  * kStatic — the pre-elastic fixed round schedule of block jobs
-///    (sim::blocked_reduce_groups), kept addressable for A/B tests and
-///    benchmarks.
-enum class Scheduling { kElastic, kStatic };
-
 /// Per-replication raw indicator values. Censored times are recorded at
 /// the horizon t_max (standard fixed-censoring convention; the censored
 /// flags preserve the information).
@@ -212,10 +198,6 @@ struct MeasurementOptions {
   /// shard counts; must be a multiple of the resolved block. 0 resolves
   /// to sim::kDefaultSuperblockReps (block-aligned).
   std::size_t superblock = 0;
-  /// Task scheduling of the streaming reduction (see Scheduling). Not
-  /// part of the determinism contract — summaries are bit-identical
-  /// under either value — so it is free to default to the elastic queue.
-  Scheduling schedule = Scheduling::kElastic;
   /// Bins of the streaming product-limit (survival) estimators over
   /// [0, horizon]; bounds the bias of the censor-aware restricted mean
   /// and median to one bin width.

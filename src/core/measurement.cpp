@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -103,9 +102,9 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
 }  // namespace
 
 /// The one place cell contexts come from — every entry point (measure,
-/// measure_scenarios, measure_scenario_tasks) used to carry its own
-/// eager construction loop; they now all go through this factory, which
-/// run_tasks drives lazily one scheduling round at a time.
+/// measure_scenarios, measure_scenario_tasks) goes through this factory,
+/// which run_tasks drives lazily, one cell at a time, as the work queue
+/// first reaches each cell.
 ///
 /// Campaign contexts from structurally identical topologies share one
 /// net::ReachabilityIndex: the cache is keyed on the FULL structural
@@ -145,8 +144,8 @@ class MeasurementEngine::ContextFactory {
     return description_ ? config_cells_.size() : scenario_cells_.size();
   }
 
-  /// Build cell c's context. Thread-safe (run_tasks builds a round's
-  /// contexts in a parallel_for).
+  /// Build cell c's context. Thread-safe (run_tasks builds each context
+  /// on whichever worker first claims one of the cell's blocks).
   [[nodiscard]] std::unique_ptr<CellContext> build(std::size_t c) {
     auto ctx = std::make_unique<CellContext>();
     if (options_->engine == Engine::kStagedSan) {
@@ -175,10 +174,11 @@ class MeasurementEngine::ContextFactory {
     return ctx;
   }
 
-  /// run_tasks reports contexts it drops, so peak_live_ means what it says.
-  void note_dropped(std::size_t count) {
+  /// run_tasks reports each context it drops, so peak_live_ means what
+  /// it says.
+  void note_dropped() {
     const std::lock_guard<std::mutex> lock(mu_);
-    live_ -= count;
+    --live_;
   }
 
  private:
@@ -283,147 +283,74 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
     const sim::ShardPlan& shard, std::span<const std::uint64_t> tasks,
     std::vector<IndicatorSample>* samples,
     std::vector<double>* task_seconds) const {
+  const obs::Span span("measure.tasks");
   const double horizon = options_.campaign.t_max_hours;
   const std::size_t reps = options_.replications;
-  const std::size_t total = tasks.size();
-  const std::size_t threads = executor_->thread_count();
-  const auto make = [&](std::size_t) {
-    return IndicatorAccumulator(horizon, options_.survival_bins);
-  };
+  const std::size_t cells = factory.cell_count();
 
-  // The task list is consumed one scheduling round at a time — the same
-  // 4 × threads sizing as the static block rounds — and cell contexts
-  // are built only for the cells a round touches, then dropped once the
-  // ascending task order has moved past them. Per-task partials depend
-  // only on (cell, superblock, RNG contract), so chunking the schedule
-  // changes no bits; it changes residency: a 10^4-cell sweep holds
-  // O(threads) contexts instead of 10^4 (reachability indexes are
-  // shared per topology through the factory and live for the whole
-  // call, so round boundaries never rebuild one).
-  const std::size_t round_tasks = std::max<std::size_t>(4 * threads, 1);
-  std::vector<std::unique_ptr<CellContext>> slots(factory.cell_count());
-  std::vector<std::size_t> live;   // engaged slots, ascending cell ids
-  std::vector<std::size_t> fresh;  // scratch: cells this round must build
-
-  // Heartbeat over replications actually scheduled (throttled; silent
-  // for short calls). Stderr only — never a byte of output data.
+  // Cell contexts are built on the first claim of any of the cell's
+  // blocks and dropped when the last of its tasks in the list completes.
+  // Claims run in ascending (task, block) order and the list is ascending,
+  // so only the cells under in-flight blocks hold a context: O(threads)
+  // live, not one per cell (reachability indexes are shared per topology
+  // through the factory and live for the whole call).
+  std::vector<std::unique_ptr<CellContext>> slots(cells);
+  const std::unique_ptr<std::once_flag[]> built(new std::once_flag[cells]);
+  std::vector<std::atomic<std::size_t>> pending(cells);  // tasks left per cell
   std::uint64_t total_reps = 0;
   for (const std::uint64_t t : tasks) {
     const sim::ShardPlan::Task task = shard.task(t);
+    pending[task.group].fetch_add(1, std::memory_order_relaxed);
     total_reps += task.end - task.begin;
   }
+
+  // Heartbeat over replications actually folded (throttled; silent for
+  // short calls). Stderr only — never a byte of output data.
+  std::mutex heartbeat_mu;
   obs::Heartbeat heartbeat("measure", total_reps);
   std::uint64_t done_reps = 0;
 
-  std::vector<IndicatorAccumulator> out;
-  out.reserve(total);
-  if (task_seconds) {
-    task_seconds->clear();
-    task_seconds->reserve(total);
-  }
+  if (task_seconds) task_seconds->assign(tasks.size(), 0.0);
 
-  for (std::size_t begin = 0; begin < total; begin += round_tasks) {
-    const obs::Span round_span("measure.round");
-    const std::size_t end = std::min(begin + round_tasks, total);
-    const std::size_t count = end - begin;
-
-    // Contexts are independent, so a round's missing ones build in a
-    // parallel_for of their own (same-topology duplicates dedupe on the
-    // factory's index cache).
-    fresh.clear();
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t cell = shard.task(tasks[t]).group;
-      if (!slots[cell] && (fresh.empty() || fresh.back() != cell))
-        fresh.push_back(cell);
-    }
-    executor_->parallel_for(0, fresh.size(), [&](std::size_t i) {
+  // One group per superblock task: its block partials merge in ascending
+  // block order, so a task's partial depends only on (cell, superblock,
+  // RNG contract) — not on the thread count, the claim order, or which
+  // process runs it. Blocks past a cell's replication count bound-check
+  // to no-ops (uniform task_span keeps the item space rectangular).
+  const auto fold = [&](IndicatorAccumulator& a, std::size_t g,
+                        std::size_t i) {
+    const sim::ShardPlan::Task task = shard.task(tasks[g]);
+    const std::size_t rep = task.begin + i;
+    if (rep >= task.end) return;
+    std::call_once(built[task.group], [&] {
       const obs::Span build_span("context.build");
-      slots[fresh[i]] = factory.build(fresh[i]);
+      slots[task.group] = factory.build(task.group);
     });
-    live.insert(live.end(), fresh.begin(), fresh.end());
-
-    // One blocked fold per superblock task: block partials merge in
-    // ascending block order inside the task, so a task's partial depends
-    // only on (cell, superblock, RNG contract) — not on the thread
-    // count, the schedule, or which process runs it. Tasks past a cell's
-    // replication count bound-check to no-ops (uniform task_span keeps
-    // the schedule rectangular).
-    const auto fold = [&](IndicatorAccumulator& a, std::size_t g,
-                          std::size_t i) {
-      const sim::ShardPlan::Task task = shard.task(tasks[begin + g]);
-      const std::size_t rep = task.begin + i;
-      if (rep >= task.end) return;
-      const IndicatorSample s =
-          run_job(*slots[task.group], horizon, options_.survival_bins,
-                  stats::Rng(seeds[task.group], rep));
-      if (samples) (*samples)[task.group * reps + rep] = s;
-      a.add(s);
-    };
-
-    // Schedule selection, per round. The fold/merge sequence per task is
-    // identical either way (bit-identical partials), so this is purely a
-    // wall-time choice: the elastic work queue keeps threads busy under
-    // skewed per-cell costs, while the static block rounds expose
-    // sub-task parallelism when a round (e.g. the tail of the list)
-    // cannot feed every thread.
-    const bool queued =
-        options_.schedule == Scheduling::kElastic && count >= threads;
-    std::vector<IndicatorAccumulator> part;
-    std::vector<double> part_seconds;
-    if (queued) {
-      part = sim::queued_reduce_groups<IndicatorAccumulator>(
-          *executor_, count, shard.task_span(), shard.block(), make, fold,
-          task_seconds ? &part_seconds : nullptr);
-    } else if (!task_seconds) {
-      part = sim::blocked_reduce_groups<IndicatorAccumulator>(
-          *executor_, count, shard.task_span(), shard.block(), make, fold);
-    } else {
-      // Cost capture under the static rounds (a round with fewer tasks
-      // than threads must not give up sub-task parallelism just to be
-      // timed): one task's block jobs run on several threads, so
-      // per-task seconds accumulate atomically from per-replication
-      // timings — two clock reads per campaign replication, noise
-      // against the simulation itself.
-      std::unique_ptr<std::atomic<double>[]> seconds(
-          new std::atomic<double>[count]());
-      const auto timed_fold = [&](IndicatorAccumulator& a, std::size_t g,
-                                  std::size_t i) {
-        const auto start = std::chrono::steady_clock::now();
-        fold(a, g, i);
-        seconds[g].fetch_add(std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count(),
-                             std::memory_order_relaxed);
-      };
-      part = sim::blocked_reduce_groups<IndicatorAccumulator>(
-          *executor_, count, shard.task_span(), shard.block(), make,
-          timed_fold);
-      part_seconds.resize(count);
-      for (std::size_t g = 0; g < count; ++g)
-        part_seconds[g] = seconds[g].load(std::memory_order_relaxed);
+    const IndicatorSample s =
+        run_job(*slots[task.group], horizon, options_.survival_bins,
+                stats::Rng(seeds[task.group], rep));
+    if (samples) (*samples)[task.group * reps + rep] = s;
+    a.add(s);
+  };
+  const auto done = [&](std::size_t g, double seconds) {
+    if (task_seconds) (*task_seconds)[g] = seconds;
+    const sim::ShardPlan::Task task = shard.task(tasks[g]);
+    if (pending[task.group].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        slots[task.group]) {
+      slots[task.group].reset();
+      factory.note_dropped();
     }
-    for (auto& p : part) out.push_back(std::move(p));
-    if (task_seconds)
-      task_seconds->insert(task_seconds->end(), part_seconds.begin(),
-                           part_seconds.end());
-
-    // Drop what the ascending order has passed; keep cells the next
-    // round still touches (a cell's tasks can straddle the boundary).
-    const std::size_t keep_from =
-        end < total ? shard.task(tasks[end]).group : factory.cell_count();
-    std::size_t dropped = 0;
-    while (dropped < live.size() && live[dropped] < keep_from)
-      slots[live[dropped++]].reset();
-    live.erase(live.begin(), live.begin() + static_cast<std::ptrdiff_t>(dropped));
-    factory.note_dropped(dropped);
-
-    for (std::size_t t = begin; t < end; ++t) {
-      const sim::ShardPlan::Task task = shard.task(tasks[t]);
-      done_reps += task.end - task.begin;
-    }
+    const std::lock_guard<std::mutex> lock(heartbeat_mu);
+    done_reps += task.end - task.begin;
     heartbeat.tick(done_reps);
-  }
-  factory.note_dropped(live.size());
+  };
+  std::vector<IndicatorAccumulator> out =
+      sim::reduce_groups<IndicatorAccumulator>(
+          *executor_, tasks.size(), shard.task_span(), shard.block(),
+          [&](std::size_t) {
+            return IndicatorAccumulator(horizon, options_.survival_bins);
+          },
+          fold, done);
   heartbeat.finish(done_reps);
   return out;
 }
@@ -607,16 +534,6 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
   return out;
 }
 
-std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_partials(
-    const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,
-    std::size_t task_begin, std::size_t task_end) const {
-  if (task_begin > task_end || task_end > shard.task_count())
-    throw std::out_of_range("measure_scenario_partials: bad task range");
-  std::vector<std::uint64_t> tasks(task_end - task_begin);
-  for (std::size_t t = 0; t < tasks.size(); ++t) tasks[t] = task_begin + t;
-  return measure_scenario_tasks(plan, shard, tasks);
-}
-
 std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(
     const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,
     std::span<const std::uint64_t> tasks,
@@ -645,10 +562,10 @@ std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(
     return {};
   }
 
-  // Contexts are built lazily per scheduling round inside run_tasks, so
-  // only the cells this task list touches — a handful at a time — ever
-  // get a campaign context; shard processes of a huge sweep never pay
-  // for the whole fleet's scenarios or reachability indexes.
+  // Contexts are built lazily inside run_tasks, so only the cells this
+  // task list touches — a handful at a time — ever get a campaign
+  // context; shard processes of a huge sweep never pay for the whole
+  // fleet's scenarios or reachability indexes.
   ContextFactory factory(*catalog_, *profile_, options_,
                          std::span<const ScenarioCell>(plan.cells));
   std::vector<std::uint64_t> seeds(plan.cell_count());

@@ -6,10 +6,11 @@
 // a diversified arm's, and the fleet idles on whichever shard drew the
 // expensive cells. The cost model closes that loop:
 //
-//  * while a shard runs, the engine measures each task's fold wall time
-//    (sim::queued_reduce_groups group_seconds) and the shard aggregates
-//    it per cell — (replications folded, seconds spent) — into the
-//    CostModel embedded in its serialized state (dist/state_codec.h);
+//  * while a shard runs, the engine measures each task's fold time (the
+//    sum of its block fold times, sim::reduce_groups) and the shard
+//    aggregates it per cell — (replications folded, seconds spent) —
+//    into the CostModel embedded in its serialized state
+//    (dist/state_codec.h);
 //  * `divsec_sweep plan --weights <prior-run>.state` merges those
 //    measurements and assigns tasks to K shards by LPT (longest
 //    processing time first) over the estimated task costs;

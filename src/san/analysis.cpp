@@ -9,21 +9,21 @@ namespace divsec::san {
 namespace {
 
 /// Shared streaming core of the scalar families: blocked deterministic
-/// reduction of experiment outputs over (seed, i) streams. A non-null
-/// `samples` additionally retains every output in replication order.
+/// reduction of experiment outputs over (seed, i) streams, retaining
+/// every output in `samples` in replication order.
 stats::OnlineStats reduce_scalar(const sim::Experiment& experiment,
                                  std::size_t replications, std::uint64_t seed,
-                                 const sim::Executor* executor, std::size_t block,
-                                 std::vector<double>* samples) {
+                                 const sim::Executor* executor,
+                                 std::vector<double>& samples) {
   if (replications == 0)
     throw std::invalid_argument("san estimator: need >= 1 replication");
-  if (samples) samples->resize(replications);
+  samples.resize(replications);
   return sim::blocked_reduce<stats::OnlineStats>(
-      executor, replications, block, [] { return stats::OnlineStats{}; },
+      executor, replications, /*block=*/0, [] { return stats::OnlineStats{}; },
       [&](stats::OnlineStats& acc, std::size_t i) {
         stats::Rng rng(seed, /*stream=*/i);
         const double y = experiment(rng);
-        if (samples) (*samples)[i] = y;
+        samples[i] = y;
         acc.add(y);
       });
 }
@@ -70,16 +70,8 @@ sim::ReplicationResult instant_of_time(const SanModel& model,
                                        const sim::Executor* executor) {
   sim::ReplicationResult r;
   r.stats = reduce_scalar(instant_experiment(model, f, t), replications, seed,
-                          executor, 0, &r.samples);
+                          executor, r.samples);
   return r;
-}
-
-stats::OnlineStats instant_of_time_streaming(
-    const SanModel& model, const std::function<double(const Marking&)>& f, double t,
-    const StreamingEstimateOptions& options) {
-  return reduce_scalar(instant_experiment(model, f, t), options.replications,
-                       options.seed, options.executor, options.replication_block,
-                       nullptr);
 }
 
 sim::ReplicationResult interval_of_time_average(
@@ -87,16 +79,8 @@ sim::ReplicationResult interval_of_time_average(
     std::size_t replications, std::uint64_t seed, const sim::Executor* executor) {
   sim::ReplicationResult r;
   r.stats = reduce_scalar(interval_experiment(model, rate, t), replications, seed,
-                          executor, 0, &r.samples);
+                          executor, r.samples);
   return r;
-}
-
-stats::OnlineStats interval_of_time_average_streaming(
-    const SanModel& model, const std::function<double(const Marking&)>& rate, double t,
-    const StreamingEstimateOptions& options) {
-  return reduce_scalar(interval_experiment(model, rate, t), options.replications,
-                       options.seed, options.executor, options.replication_block,
-                       nullptr);
 }
 
 double FirstPassageResult::conditional_mean() const noexcept {
@@ -117,12 +101,11 @@ FirstPassageResult first_passage(const SanModel& model, const Predicate& absorbe
   // through the shared censored-time accumulator; the retained outcomes
   // feed the times vector in replication order afterwards.
   std::vector<std::optional<double>> outcomes(replications);
-  // Same survival grid as the streaming flavour's default, so the two
-  // report identical event_time summaries for identical inputs.
-  const std::size_t bins = StreamingEstimateOptions{}.survival_bins;
   const auto acc = sim::blocked_reduce<stats::CensoredTimeAccumulator>(
       executor, replications, /*block=*/0,
-      [t_max, bins] { return stats::CensoredTimeAccumulator(t_max, bins); },
+      [t_max] {
+        return stats::CensoredTimeAccumulator(t_max, kFirstPassageSurvivalBins);
+      },
       [&model, &absorbed, t_max, seed, &outcomes](
           stats::CensoredTimeAccumulator& a, std::size_t i) {
         stats::Rng rng(seed, i);
@@ -139,31 +122,6 @@ FirstPassageResult first_passage(const SanModel& model, const Predicate& absorbe
       ++r.censored;
   }
   return r;
-}
-
-FirstPassageSummary first_passage_streaming(const SanModel& model,
-                                            const Predicate& absorbed, double t_max,
-                                            const StreamingEstimateOptions& options) {
-  validate_first_passage(absorbed, t_max, options.replications);
-  const auto acc = sim::blocked_reduce<stats::CensoredTimeAccumulator>(
-      options.executor, options.replications, options.replication_block,
-      [&options, t_max] {
-        return stats::CensoredTimeAccumulator(t_max, options.survival_bins);
-      },
-      [&model, &absorbed, t_max, &options](stats::CensoredTimeAccumulator& a,
-                                           std::size_t i) {
-        stats::Rng rng(options.seed, i);
-        SanSimulator sim(model, rng);
-        const auto t = sim.run_until_predicate(absorbed, t_max);
-        a.add(t.value_or(t_max), /*censored=*/!t.has_value());
-      });
-  FirstPassageSummary s;
-  s.replications = options.replications;
-  s.t_max = t_max;
-  s.censored = acc.censored();
-  s.censored_at_horizon = acc.moments();
-  s.event_time = acc.summarize();
-  return s;
 }
 
 }  // namespace divsec::san

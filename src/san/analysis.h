@@ -9,10 +9,8 @@
 //
 // All three families aggregate through the same streaming layer the
 // measurement engine uses (sim::blocked_reduce over fixed-size
-// replication blocks, merged in ascending block order): the retained
-// flavours below keep their per-replication outputs, the *_streaming
-// flavours drop them and run in O(block) memory — both are bit-identical
-// for any executor thread count.
+// replication blocks, merged in ascending block order), so they are
+// bit-identical for any executor thread count.
 #pragma once
 
 #include <functional>
@@ -65,56 +63,13 @@ struct FirstPassageResult {
   [[nodiscard]] double conditional_mean() const noexcept;
 };
 
+/// Bins of first_passage's streaming product-limit estimator.
+inline constexpr std::size_t kFirstPassageSurvivalBins = 64;
+
 [[nodiscard]] FirstPassageResult first_passage(const SanModel& model,
                                                const Predicate& absorbed, double t_max,
                                                std::size_t replications,
                                                std::uint64_t seed,
                                                const sim::Executor* executor = nullptr);
-
-/// Knobs of the sample-free streaming flavours below.
-struct StreamingEstimateOptions {
-  std::size_t replications = 1000;
-  std::uint64_t seed = 0;
-  /// Replications per reduction block; fixed (never thread-derived) so
-  /// results are bit-identical for any executor. 0 resolves to
-  /// sim::kDefaultReductionBlock.
-  std::size_t replication_block = 0;
-  /// Bins of the streaming product-limit estimator (first passage only).
-  std::size_t survival_bins = 64;
-  const sim::Executor* executor = nullptr;
-};
-
-/// instant_of_time without sample retention: O(block) memory.
-[[nodiscard]] stats::OnlineStats instant_of_time_streaming(
-    const SanModel& model, const std::function<double(const Marking&)>& f, double t,
-    const StreamingEstimateOptions& options);
-
-/// interval_of_time_average without sample retention: O(block) memory.
-[[nodiscard]] stats::OnlineStats interval_of_time_average_streaming(
-    const SanModel& model, const std::function<double(const Marking&)>& rate, double t,
-    const StreamingEstimateOptions& options);
-
-/// Sample-free first-passage summary (no times vector): censor counts,
-/// moments of the censored-at-horizon times, and the censoring-aware
-/// product-limit estimates — O(block + survival_bins) memory.
-struct FirstPassageSummary {
-  std::size_t replications = 0;
-  double t_max = 0.0;
-  std::size_t censored = 0;
-  /// Moments of the absorption times clamped at t_max (biased under
-  /// censoring — kept for comparability with the retained flavour).
-  stats::OnlineStats censored_at_horizon;
-  stats::CensoredTimeSummary event_time;
-
-  [[nodiscard]] double absorption_probability() const noexcept {
-    return replications ? static_cast<double>(replications - censored) /
-                              static_cast<double>(replications)
-                        : 0.0;
-  }
-};
-
-[[nodiscard]] FirstPassageSummary first_passage_streaming(
-    const SanModel& model, const Predicate& absorbed, double t_max,
-    const StreamingEstimateOptions& options);
 
 }  // namespace divsec::san

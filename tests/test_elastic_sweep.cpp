@@ -1,5 +1,5 @@
-// Tests for elastic sweep scheduling: the work-queue schedule must be
-// bit-identical to the static block schedule for any thread count, a
+// Tests for elastic sweep scheduling: the block-granular work queue must
+// reproduce the serial ascending block fold for any thread count, a
 // cost-weighted LPT plan must cover the task space exactly once and
 // merge bit-identically to the in-process run, the cost model must
 // round-trip through the state codec byte-stably, and weights/tasks
@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/measurement.h"
@@ -23,7 +26,7 @@
 namespace divsec {
 namespace {
 
-// ---- schedule equivalence at the reduction primitive -----------------------
+// ---- the reduction primitive against its contract --------------------------
 
 /// Order-sensitive accumulator: x' = x * 1.0000001 + v is not
 /// associative, so any deviation in fold or merge order changes the bits.
@@ -40,10 +43,27 @@ struct OrderSensitive {
   }
 };
 
-TEST(ElasticSchedule, QueuedReduceBitIdenticalToBlockedReduce) {
-  constexpr std::size_t kGroups = 13;
-  constexpr std::size_t kCount = 1000;
-  constexpr std::size_t kBlock = 64;
+/// The reduction contract itself, written out serially: group g's result
+/// is make(g) merged with its block partials in ascending block order.
+template <typename Acc, typename Make, typename Fold>
+std::vector<Acc> serial_ascending_fold(std::size_t groups, std::size_t count,
+                                       std::size_t block, const Make& make,
+                                       const Fold& fold) {
+  std::vector<Acc> out;
+  for (std::size_t g = 0; g < groups; ++g) {
+    Acc acc = make(g);
+    for (std::size_t lo = 0; lo < count; lo += block) {
+      Acc partial = make(g);
+      for (std::size_t i = lo; i < std::min(count, lo + block); ++i)
+        fold(partial, g, i);
+      acc.merge(partial);
+    }
+    out.push_back(acc);
+  }
+  return out;
+}
+
+TEST(ElasticSchedule, ReduceGroupsBitIdenticalToSerialAscendingFold) {
   const auto make = [](std::size_t g) {
     OrderSensitive acc;
     acc.x = static_cast<double>(g) * 0.25;
@@ -52,32 +72,91 @@ TEST(ElasticSchedule, QueuedReduceBitIdenticalToBlockedReduce) {
   const auto fold = [](OrderSensitive& acc, std::size_t g, std::size_t i) {
     acc.fold(static_cast<double>(g * 7919 + i) * 1e-3);
   };
-
-  const sim::Executor serial(1);
-  const std::vector<OrderSensitive> reference =
-      sim::blocked_reduce_groups<OrderSensitive>(serial, kGroups, kCount,
-                                                 kBlock, make, fold);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{8}}) {
-    const sim::Executor ex(threads);
-    const std::vector<OrderSensitive> blocked =
-        sim::blocked_reduce_groups<OrderSensitive>(ex, kGroups, kCount, kBlock,
-                                                   make, fold);
-    std::vector<double> seconds;
-    const std::vector<OrderSensitive> queued =
-        sim::queued_reduce_groups<OrderSensitive>(ex, kGroups, kCount, kBlock,
-                                                  make, fold, &seconds);
-    ASSERT_EQ(seconds.size(), kGroups);
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      EXPECT_EQ(blocked[g].x, reference[g].x) << "threads=" << threads;
-      EXPECT_EQ(queued[g].x, reference[g].x) << "threads=" << threads;
-      EXPECT_EQ(queued[g].folds, reference[g].folds);
-      EXPECT_GE(seconds[g], 0.0);
+  // 1000 / 64 leaves a partial last block; 50 / 64 is one block per group.
+  for (const std::size_t count : {std::size_t{1000}, std::size_t{50}}) {
+    constexpr std::size_t kBlock = 64;
+    for (const std::size_t groups : {0u, 1u, 3u, 13u}) {
+      const std::vector<OrderSensitive> expected =
+          serial_ascending_fold<OrderSensitive>(groups, count, kBlock, make,
+                                                fold);
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "count=" << count << " groups="
+                                          << groups << " threads=" << threads);
+        const sim::Executor ex(threads);
+        std::vector<int> completions(groups, 0);
+        std::vector<double> seconds(groups, -1.0);
+        const std::vector<OrderSensitive> got =
+            sim::reduce_groups<OrderSensitive>(
+                ex, groups, count, kBlock, make, fold,
+                [&](std::size_t g, double s) {
+                  ++completions[g];
+                  seconds[g] = s;
+                });
+        ASSERT_EQ(got.size(), groups);
+        for (std::size_t g = 0; g < groups; ++g) {
+          EXPECT_EQ(got[g].x, expected[g].x) << "group " << g;
+          EXPECT_EQ(got[g].folds, count);
+          EXPECT_EQ(completions[g], 1);
+          EXPECT_GE(seconds[g], 0.0);
+        }
+      }
     }
   }
 }
 
-// ---- schedule equivalence at the measurement engine ------------------------
+/// OrderSensitive that counts live instances, to watch in-flight memory.
+std::atomic<std::int64_t> g_live{0};
+std::atomic<std::int64_t> g_peak_live{0};
+struct Tracked : OrderSensitive {
+  Tracked() { note(); }
+  Tracked(const Tracked& o) : OrderSensitive(o) { note(); }
+  Tracked(Tracked&& o) noexcept : OrderSensitive(o) { note(); }
+  Tracked& operator=(const Tracked&) = default;
+  Tracked& operator=(Tracked&&) = default;
+  ~Tracked() { g_live.fetch_sub(1); }
+  void merge(const Tracked& o) { OrderSensitive::merge(o); }
+  static void note() {
+    const std::int64_t now = g_live.fetch_add(1) + 1;
+    std::int64_t peak = g_peak_live.load();
+    while (now > peak && !g_peak_live.compare_exchange_weak(peak, now)) {
+    }
+  }
+};
+
+TEST(ElasticSchedule, SlowBlockParksBoundedPartialsAndKeepsOrder) {
+  // Block 0 of group 0 stalls while the other threads race ahead through
+  // its successors: they must park (bounded by the in-flight cap, not by
+  // the 2 x 64 blocks), wait once the cap fills, and still merge in
+  // ascending block order once the slow block lands.
+  constexpr std::size_t kGroups = 2;
+  constexpr std::size_t kCount = 64;
+  const auto make = [](std::size_t g) {
+    Tracked acc;
+    acc.x = static_cast<double>(g);
+    return acc;
+  };
+  const auto fold = [](Tracked& acc, std::size_t g, std::size_t i) {
+    if (g == 0 && i == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    acc.fold(static_cast<double>(g * 131 + i));
+  };
+  const std::vector<Tracked> expected =
+      serial_ascending_fold<Tracked>(kGroups, kCount, 1, make, fold);
+
+  const sim::Executor ex(8);
+  g_live = 0;
+  g_peak_live = 0;
+  const std::vector<Tracked> got =
+      sim::reduce_groups<Tracked>(ex, kGroups, kCount, 1, make, fold);
+  ASSERT_EQ(got.size(), kGroups);
+  for (std::size_t g = 0; g < kGroups; ++g)
+    EXPECT_EQ(got[g].x, expected[g].x) << "group " << g;
+  EXPECT_LE(g_peak_live.load(),
+            static_cast<std::int64_t>(kGroups +
+                                      sim::reduction_in_flight_bound(ex)));
+}
+
+// ---- thread-count equivalence at the measurement engine --------------------
 
 dist::SweepSpec small_spec() {
   dist::SweepSpec spec;
@@ -89,41 +168,51 @@ dist::SweepSpec small_spec() {
   return spec;
 }
 
-TEST(ElasticSchedule, WorkQueueRunBitIdenticalToStaticChunking) {
-  // 12 tasks >= every tested thread count, so the elastic path really
-  // takes the work queue (it falls back to static rounds only when the
-  // queue could not feed the pool).
-  const dist::SweepSpec spec = small_spec();
-  std::vector<core::IndicatorSummary> reference;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{8}}) {
-    const sim::Executor ex(threads);
-    for (const core::Scheduling schedule :
-         {core::Scheduling::kElastic, core::Scheduling::kStatic}) {
-      dist::SweepSpec s = spec;
-      const divers::VariantCatalog catalog =
-          divers::VariantCatalog::standard(s.seed);
-      const attack::ThreatProfile profile = dist::threat_profile(s.threat);
-      core::MeasurementOptions options = dist::sweep_options(s, &ex);
-      options.schedule = schedule;
-      const core::MeasurementEngine engine(catalog, profile, options);
-      const auto summaries =
-          engine.measure_scenarios(dist::expand_plan(s, catalog));
-      if (reference.empty()) {
-        reference = summaries;
-        continue;
-      }
+void expect_same_bits(const core::IndicatorSummary& a,
+                      const core::IndicatorSummary& b) {
+  EXPECT_EQ(a.tta.mean(), b.tta.mean());
+  EXPECT_EQ(a.tta.variance(), b.tta.variance());
+  EXPECT_EQ(a.ttsf.mean(), b.ttsf.mean());
+  EXPECT_EQ(a.successes, b.successes);
+  EXPECT_EQ(a.tta_event.restricted_mean, b.tta_event.restricted_mean);
+  EXPECT_EQ(a.ttsf_event.median, b.ttsf_event.median);
+  EXPECT_EQ(a.ttsf_event.q90, b.ttsf_event.q90);
+}
+
+TEST(ElasticSchedule, WorkQueueRunBitIdenticalAcrossThreads) {
+  // The 12-task spec feeds every tested pool from whole tasks; the
+  // one-cell spec (1 superblock of 8 blocks) has fewer tasks than
+  // threads, so only block-granular claims keep the pool busy.
+  dist::SweepSpec one_task = small_spec();
+  one_task.policies = {scenario::VariantPolicy::kMonoculture};
+  one_task.replications = 64;
+  one_task.superblock = 64;
+  for (const dist::SweepSpec& spec : {small_spec(), one_task}) {
+    const divers::VariantCatalog catalog =
+        divers::VariantCatalog::standard(spec.seed);
+    const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
+    const core::ScenarioSweepPlan plan = dist::expand_plan(spec, catalog);
+    std::vector<core::IndicatorSummary> reference;
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << "cells=" << plan.cell_count()
+                                        << " threads=" << threads);
+      const sim::Executor ex(threads);
+      const core::MeasurementEngine engine(catalog, profile,
+                                           dist::sweep_options(spec, &ex));
+      const auto summaries = engine.measure_scenarios(plan);
+      if (reference.empty()) reference = summaries;
       ASSERT_EQ(summaries.size(), reference.size());
-      for (std::size_t c = 0; c < summaries.size(); ++c) {
-        EXPECT_EQ(summaries[c].tta.mean(), reference[c].tta.mean())
-            << "threads=" << threads;
-        EXPECT_EQ(summaries[c].tta.variance(), reference[c].tta.variance());
-        EXPECT_EQ(summaries[c].ttsf.mean(), reference[c].ttsf.mean());
-        EXPECT_EQ(summaries[c].successes, reference[c].successes);
-        EXPECT_EQ(summaries[c].tta_event.restricted_mean,
-                  reference[c].tta_event.restricted_mean);
-        EXPECT_EQ(summaries[c].ttsf_event.q90, reference[c].ttsf_event.q90);
-      }
+      for (std::size_t c = 0; c < summaries.size(); ++c)
+        expect_same_bits(summaries[c], reference[c]);
+
+      // The shard entry point times every task it folds.
+      const sim::ShardPlan shard = engine.shard_plan(plan.cell_count());
+      std::vector<std::uint64_t> tasks(shard.task_count());
+      std::iota(tasks.begin(), tasks.end(), std::uint64_t{0});
+      std::vector<double> seconds;
+      (void)engine.measure_scenario_tasks(plan, shard, tasks, &seconds);
+      ASSERT_EQ(seconds.size(), tasks.size());
+      for (const double s : seconds) EXPECT_GT(s, 0.0);
     }
   }
 }
@@ -192,10 +281,9 @@ TEST(CostModel, ShardRunsMeasureTheirCells) {
 }
 
 TEST(CostModel, FewTasksThanThreadsStillMeasuresAndMergesExactly) {
-  // A shard owning fewer tasks than executor threads takes the static
-  // block rounds (sub-task parallelism) with per-replication timing —
-  // costs must still land per cell and the payload must stay identical
-  // to the single-threaded run.
+  // A shard owning fewer tasks than executor threads spreads their blocks
+  // over the pool — costs must still land per cell and the payload must
+  // stay identical to the single-threaded run.
   const dist::SweepSpec spec = small_spec();  // 12 tasks
   const sim::Executor eight(8);
   const sim::Executor one(1);
@@ -332,17 +420,8 @@ TEST(ElasticSweep, CostWeightedShardsMergeBitIdenticalToInProcess) {
   const dist::MergeResult merged = dist::merge_shards(elastic);
 
   ASSERT_EQ(merged.summaries.size(), reference.size());
-  for (std::size_t c = 0; c < reference.size(); ++c) {
-    EXPECT_EQ(merged.summaries[c].tta.mean(), reference[c].tta.mean());
-    EXPECT_EQ(merged.summaries[c].tta.variance(),
-              reference[c].tta.variance());
-    EXPECT_EQ(merged.summaries[c].ttsf.mean(), reference[c].ttsf.mean());
-    EXPECT_EQ(merged.summaries[c].successes, reference[c].successes);
-    EXPECT_EQ(merged.summaries[c].tta_event.restricted_mean,
-              reference[c].tta_event.restricted_mean);
-    EXPECT_EQ(merged.summaries[c].ttsf_event.median,
-              reference[c].ttsf_event.median);
-  }
+  for (std::size_t c = 0; c < reference.size(); ++c)
+    expect_same_bits(merged.summaries[c], reference[c]);
   EXPECT_EQ(dist::sweep_csv(merged.meta, merged.summaries),
             dist::sweep_csv(dist::make_meta(spec), reference));
 

@@ -5,7 +5,7 @@
 // columns are load-bearing. This audit runs the SAME deep merge tree
 // (256-blocks into 16384-superblocks, superblocks dealt round-robin to
 // shards, shards merged in ascending order — the two-level reduction of
-// sim::blocked_reduce_groups + sim::reduce_task_partials plus the
+// sim::reduce_groups + sim::reduce_task_partials plus the
 // cross-process merge) over both sketches on three event-time-like
 // regimes, at 10^5 observations; the 10^6-rep variant is the gtest
 // equivalent of a Catch2 [.][slow] tag — DISABLED_ by default, runnable
@@ -67,7 +67,7 @@ double exact_quantile(std::vector<double> v, double q) {
 /// Fold `values` through the measurement engine's reduction shape: P²
 /// partials per `block` values merged in ascending order into superblock
 /// sketches, superblocks merged in ascending order — the two-level
-/// sequence of sim::blocked_reduce_groups + sim::reduce_task_partials.
+/// sequence of sim::reduce_groups + sim::reduce_task_partials.
 double merged_estimate(const std::vector<double>& values, double q,
                        std::size_t block, std::size_t superblock) {
   P2Quantile total(q);

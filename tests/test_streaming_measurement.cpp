@@ -1,5 +1,5 @@
 // Tests for the streaming, block-sharded measurement backend
-// (core/measurement.cpp on sim::blocked_reduce_groups): summaries must be
+// (core/measurement.cpp on sim::reduce_groups): summaries must be
 // bit-identical across DIVSEC_THREADS ∈ {1, 4, 8}, bit-identical between
 // the streaming and retain-everything paths, and well-defined on the
 // edge cases (one replication, fully censored cells, empty ranges).
@@ -162,17 +162,23 @@ TEST(StreamingMeasurementEdge, EmptyRangesAreWellDefined) {
   std::size_t calls = 0;
   four.parallel_for(0, 0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0u);
-  // blocked_reduce_groups with zero items returns the empty accumulators;
-  // with zero groups it returns an empty vector.
+  // reduce_groups with zero items returns the empty accumulators (each
+  // group still completes once, after zero seconds of folding); with zero
+  // groups it returns an empty vector.
   const auto make = [](std::size_t) { return IndicatorAccumulator(1.0, 4); };
   const auto fold = [](IndicatorAccumulator&, std::size_t, std::size_t) {
     FAIL() << "fold must not run on an empty range";
   };
-  const auto none = sim::blocked_reduce_groups<IndicatorAccumulator>(
-      four, 3, 0, 8, make, fold);
+  std::vector<std::size_t> completions(3, 0);
+  const auto none = sim::reduce_groups<IndicatorAccumulator>(
+      four, 3, 0, 8, make, fold, [&](std::size_t g, double seconds) {
+        ++completions[g];
+        EXPECT_EQ(seconds, 0.0);
+      });
   ASSERT_EQ(none.size(), 3u);
   for (const auto& acc : none) EXPECT_EQ(acc.count(), 0u);
-  const auto empty = sim::blocked_reduce_groups<IndicatorAccumulator>(
+  EXPECT_EQ(completions, (std::vector<std::size_t>{1, 1, 1}));
+  const auto empty = sim::reduce_groups<IndicatorAccumulator>(
       four, 0, 100, 8, make, fold);
   EXPECT_TRUE(empty.empty());
   // An empty measurement plan measures to an empty summary list.

@@ -392,119 +392,98 @@ int cmd_run(int argc, char** argv) {
   resolve_spec(spec);
 
   const TraceGuard trace(trace_path);
-  // A state-producing run always flushes its metrics next to the state
-  // file (merge aggregates the sidecars); the in-process reference only
-  // writes metrics when asked.
-  const auto shard_metrics = [&](const std::string& state_path) {
-    write_metrics_sidecar(metrics_path.empty() ? state_path + ".metrics.json"
-                                               : metrics_path);
-  };
   const sim::Executor executor(threads);  // 0 = DIVSEC_THREADS default
-  if (!replay_path.empty()) {
-    // Replay mode: the state file, not the command line, names the sweep
-    // — its meta carries the flags AND the per-cell achieved counts the
-    // adaptive run recorded. Re-running exactly those counts through the
-    // ordinary task runner reproduces the adaptive CSV byte for byte.
-    if (!tasks_path.empty()) die("--replay and --tasks are exclusive");
-    const dist::ShardState recorded = dist::read_shard_state(replay_path);
-    if (recorded.meta.achieved.empty())
-      die("--replay wants an adaptive state (no per-cell achieved counts "
-          "in " + replay_path + ")");
-    const dist::SweepSpec replay_spec = dist::spec_from_meta(recorded.meta);
-    const std::vector<std::uint64_t> tasks =
-        dist::achieved_tasks(recorded.meta);
-
-    if (sharded) {
-      // Shard i's slice of the achieved task LIST (contiguous balanced
-      // over list positions — task ids themselves are non-contiguous
-      // because each cell contributes only its prefix).
-      const auto [shard, shard_count] = parse_shard(shard_value);
-      const std::size_t base = tasks.size() / shard_count;
-      const std::size_t rem = tasks.size() % shard_count;
-      const std::size_t begin = shard * base + std::min(shard, rem);
-      const std::size_t end = begin + base + (shard < rem ? 1 : 0);
-      const std::vector<std::uint64_t> slice(tasks.begin() + begin,
-                                             tasks.begin() + end);
-      if (out.empty())
-        out = replay_spec.preset + "_replay_shard" + std::to_string(shard) +
-              "of" + std::to_string(shard_count) + ".state";
-      const dist::ShardState state = dist::run_shard_tasks(
-          replay_spec, slice, shard, shard_count, &executor);
-      dist::write_shard_state(out, state);
-      shard_metrics(out);
-      std::printf("replay shard %zu/%zu: %zu of %zu achieved task(s) of %s "
-                  "in %.1f ms -> %s\n",
-                  shard, shard_count, state.tasks.size(), tasks.size(),
-                  replay_spec.preset.c_str(), state.meta.wall_ms, out.c_str());
-      return 0;
+  if (!replay_path.empty() || !tasks_path.empty() || sharded) {
+    // Every task-selecting mode is one sequence: derive the task list and
+    // the shard coordinates, run them, write the state (or, for an
+    // unsharded replay, the CSV directly).
+    if (!replay_path.empty() && !tasks_path.empty())
+      die("--replay and --tasks are exclusive");
+    std::vector<std::uint64_t> tasks;
+    std::size_t shard = 0;
+    std::size_t shard_count = 1;
+    std::string source;  // where the task list came from, for the log line
+    if (!tasks_path.empty()) {
+      // Elastic mode: the task list shard i owns in the plan file.
+      if (!sharded)
+        die("run --tasks wants --shard i (which task list to execute)");
+      if (shard_value.find('/') != std::string::npos)
+        die("with --tasks, --shard wants a bare index i (K comes from the "
+            "plan file); got: " + shard_value);
+      shard = static_cast<std::size_t>(parse_u64("--shard", shard_value));
+      dist::TaskPlan plan = dist::read_task_plan(tasks_path);
+      // A task assignment is only valid for the exact sweep it was
+      // planned for — running it against other flags would silently
+      // mis-cover the task space.
+      dist::require_fingerprint(dist::sweep_fingerprint(dist::make_meta(spec)),
+                                plan.fingerprint, "task plan " + tasks_path);
+      shard_count = plan.shards.size();
+      if (shard >= shard_count)
+        die("--shard " + std::to_string(shard) + " out of range: " +
+            tasks_path + " plans " + std::to_string(shard_count) +
+            " shard(s)");
+      tasks = std::move(plan.shards[shard]);
+      source = "cost-weighted plan " + tasks_path;
+    } else if (!replay_path.empty()) {
+      // Replay mode: the state file, not the command line, names the
+      // sweep — its meta carries the flags AND the per-cell achieved
+      // counts the adaptive run recorded. Re-running exactly those counts
+      // through the ordinary task runner reproduces the adaptive CSV byte
+      // for byte. Task ids are non-contiguous (each cell contributes only
+      // its prefix), so shards slice list positions.
+      const dist::ShardState recorded = dist::read_shard_state(replay_path);
+      if (recorded.meta.achieved.empty())
+        die("--replay wants an adaptive state (no per-cell achieved counts "
+            "in " + replay_path + ")");
+      spec = dist::spec_from_meta(recorded.meta);
+      tasks = dist::achieved_tasks(recorded.meta);
+      source = "achieved counts of " + replay_path;
+    } else {
+      tasks.resize(dist::sweep_shard_plan(dist::make_meta(spec)).task_count());
+      for (std::size_t t = 0; t < tasks.size(); ++t) tasks[t] = t;
+      source = "contiguous split";
+    }
+    if (tasks_path.empty()) {
+      if (sharded) std::tie(shard, shard_count) = parse_shard(shard_value);
+      // Contiguous balanced slice of the list: on the full task list this
+      // is exactly ShardPlan::shard_range.
+      const std::size_t n = tasks.size();
+      tasks = std::vector<std::uint64_t>(
+          tasks.begin() + static_cast<std::ptrdiff_t>(n * shard / shard_count),
+          tasks.begin() +
+              static_cast<std::ptrdiff_t>(n * (shard + 1) / shard_count));
     }
 
-    if (out.empty()) out = replay_spec.preset + "_replay";
     const dist::ShardState state =
-        dist::run_shard_tasks(replay_spec, tasks, 0, 1, &executor);
-    const dist::MergeResult merged = dist::merge_shards({state});
-    core::save_to_file(out + "_measurements.csv",
-                       dist::sweep_csv(merged.meta, merged.summaries));
-    core::save_to_file(out + "_summary.json",
-                       dist::summary_json(merged.meta, merged.summaries));
-    if (!metrics_path.empty()) write_metrics_sidecar(metrics_path);
-    std::printf("replayed %zu achieved task(s) of %s in %.1f ms -> "
-                "%s_{measurements.csv,summary.json}\n",
-                tasks.size(), replay_spec.preset.c_str(), state.meta.wall_ms,
-                out.c_str());
-    return 0;
-  }
-
-  if (!tasks_path.empty()) {
-    // Elastic mode: execute the task list shard i owns in the plan file.
-    if (!sharded)
-      die("run --tasks wants --shard i (which task list to execute)");
-    if (shard_value.find('/') != std::string::npos)
-      die("with --tasks, --shard wants a bare index i (K comes from the "
-          "plan file); got: " + shard_value);
-    const std::size_t shard =
-        static_cast<std::size_t>(parse_u64("--shard", shard_value));
-    const dist::TaskPlan plan = dist::read_task_plan(tasks_path);
-    // The PR-4 fingerprint rule, reused: a task assignment is only valid
-    // for the exact sweep it was planned for — running it against other
-    // flags would silently mis-cover the task space.
-    dist::require_fingerprint(dist::sweep_fingerprint(dist::make_meta(spec)),
-                              plan.fingerprint, "task plan " + tasks_path);
-    if (shard >= plan.shards.size())
-      die("--shard " + std::to_string(shard) + " out of range: " +
-          tasks_path + " plans " + std::to_string(plan.shards.size()) +
-          " shard(s)");
+        dist::run_shard_tasks(spec, tasks, shard, shard_count, &executor);
+    if (!sharded) {
+      // Unsharded replay: reduce in process and write the CSV directly.
+      if (out.empty()) out = spec.preset + "_replay";
+      const dist::MergeResult merged = dist::merge_shards({state});
+      core::save_to_file(out + "_measurements.csv",
+                         dist::sweep_csv(merged.meta, merged.summaries));
+      core::save_to_file(out + "_summary.json",
+                         dist::summary_json(merged.meta, merged.summaries));
+      if (!metrics_path.empty()) write_metrics_sidecar(metrics_path);
+      std::printf("replayed %zu achieved task(s) of %s in %.1f ms -> "
+                  "%s_{measurements.csv,summary.json}\n",
+                  tasks.size(), spec.preset.c_str(), state.meta.wall_ms,
+                  out.c_str());
+      return 0;
+    }
     if (out.empty())
-      out = spec.preset + "_shard" + std::to_string(shard) + "of" +
-            std::to_string(plan.shards.size()) + ".state";
-    const dist::ShardState state = dist::run_shard_tasks(
-        spec, plan.shards[shard], shard, plan.shards.size(), &executor);
+      out = spec.preset + (replay_path.empty() ? "_shard" : "_replay_shard") +
+            std::to_string(shard) + "of" + std::to_string(shard_count) +
+            ".state";
     dist::write_shard_state(out, state);
-    shard_metrics(out);
-    std::printf("shard %zu/%zu: %zu task(s) of %s (cost-weighted plan %s) "
-                "in %.1f ms -> %s\n",
-                shard, plan.shards.size(), state.tasks.size(),
-                spec.preset.c_str(), tasks_path.c_str(), state.meta.wall_ms,
-                out.c_str());
-    return 0;
-  }
-
-  if (sharded) {
-    const auto [shard, shard_count] = parse_shard(shard_value);
-    if (out.empty())
-      out = spec.preset + "_shard" + std::to_string(shard) + "of" +
-            std::to_string(shard_count) + ".state";
-    const dist::ShardState state =
-        dist::run_shard(spec, shard, shard_count, &executor);
-    const unsigned long long lo =
-        state.tasks.empty() ? 0 : static_cast<unsigned long long>(state.tasks.front());
-    const unsigned long long hi =
-        state.tasks.empty() ? 0 : static_cast<unsigned long long>(state.tasks.back()) + 1;
-    dist::write_shard_state(out, state);
-    shard_metrics(out);
-    std::printf("shard %zu/%zu: tasks [%llu, %llu) of %s in %.1f ms -> %s\n",
-                shard, shard_count, lo, hi, spec.preset.c_str(),
-                state.meta.wall_ms, out.c_str());
+    // A state-producing run always flushes its metrics next to the state
+    // file (merge aggregates the sidecars); the in-process reference and
+    // the unsharded replay only write metrics when asked.
+    write_metrics_sidecar(metrics_path.empty() ? out + ".metrics.json"
+                                               : metrics_path);
+    std::printf("shard %zu/%zu: %zu task(s) (%s) of %s in %.1f ms -> %s\n",
+                shard, shard_count, tasks.size(), source.c_str(),
+                spec.preset.c_str(), state.meta.wall_ms, out.c_str());
     return 0;
   }
 
