@@ -66,9 +66,7 @@ const char* to_string(CampaignEventKind k) noexcept {
 }
 
 double CampaignResult::ratio_at(double t) const noexcept {
-  // The step curve is sorted by time: binary-search the first step past t
-  // (mean_ratio_curve calls this per grid point per replication — a
-  // linear scan over a fleet-sized curve was the hot spot).
+  // The step curve is sorted by time: binary-search the first step past t.
   const auto it = std::upper_bound(
       compromised_ratio.begin(), compromised_ratio.end(), t,
       [](double value, const std::pair<double, double>& step) {
@@ -269,23 +267,26 @@ struct QLater {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
-/// Mutable state of one run() over the read-only CampaignTables, shared
-/// by both kernels through a compile-time switch. Every random decision
-/// draws from the per-event-class facade (attack/campaign_rng.h) under
-/// the documented draw-order contract, so the two instantiations consume
-/// identical per-class word sequences and produce bit-identical results:
-///
-///  * kSoA = true  — the batched structure-of-arrays kernel: per-class
-///    words prefetched in blocks, victim eligibility fused into one
-///    scan_clean byte per node (host-target AND still-clean), the
-///    monitoring-view ownership kept as an incremental counter, and the
-///    unowned-target pool shrunk by swap-remove;
-///  * kSoA = false — the scalar reference: a straight port of the
-///    pre-SoA loop (per-draw streams, separate flag tests, linear
-///    monitoring scan) onto the same facade. The swap-remove pool
-///    discipline is shared — it is part of the draw-order contract,
-///    because the pool order feeds later uniform picks.
-template <bool kSoA>
+/// Per-thread storage reused by every run() on that thread, so a run's
+/// set-up and tear-down cost follows its events, not the fleet: the
+/// vectors keep their capacity across runs, and `state` is all kClean
+/// between runs (RunState puts back exactly the nodes it moved), so it
+/// is re-assigned only when the fleet size changes.
+struct RunScratch {
+  std::vector<NodeState> state;
+  std::vector<NodeId> touched;  // nodes moved off kClean by this run
+  std::vector<QEvent> heap;     // min-heap via std::push_heap/pop_heap
+  std::vector<NodeId> roots;            // nodes at kRoot, in promotion order
+  std::vector<std::uint64_t> root_cum;  // cumulative scan+tunnel slots per root
+  std::vector<NodeId> payload_sources;  // rooted engineering/SCADA nodes
+  std::vector<NodeId> owned_plcs;       // owned targets, in capture order
+  std::vector<NodeId> unowned_targets;  // target_plcs minus owned (swap-remove)
+};
+
+/// Mutable state of one run() over the read-only CampaignTables and a
+/// thread's RunScratch. Every random decision draws from the
+/// per-event-class facade (attack/campaign_rng.h) under the documented
+/// draw-order contract.
 struct RunState {
   const Scenario& sc;
   const ThreatProfile& pr;
@@ -307,44 +308,58 @@ struct RunState {
   double t_sabotage = kNever;
 
   // Per-node transient events (activation / privesc retries).
-  std::vector<QEvent> heap;  // min-heap via std::push_heap/pop_heap
+  std::vector<QEvent>& heap;
   std::uint32_t next_seq = 0;
 
-  std::vector<NodeState> state;
-  std::vector<std::uint8_t> plc_owned;
-  /// kSoA only: scan_clean[v] == (host-target AND state == kClean), the
-  /// fused one-load eligibility test of the propagation fast path.
-  std::vector<std::uint8_t> scan_clean;
-  std::vector<NodeId> roots;            // nodes at kRoot, in promotion order
-  std::vector<std::uint64_t> root_cum;  // cumulative scan+tunnel slots per root
-  std::uint64_t scan_slots = 0;         // == root_cum.back() (0 when no roots)
-  std::vector<NodeId> payload_sources;  // rooted engineering/SCADA nodes
-  std::vector<NodeId> owned_plcs;       // owned targets, in capture order
-  std::vector<NodeId> unowned_targets;  // target_plcs minus owned (swap-remove)
-  std::size_t hosts_owned = 0;     // non-PLC nodes at >= kActivated
+  std::vector<NodeState>& state;
+  std::vector<NodeId>& touched;
+  std::vector<NodeId>& roots;
+  std::vector<std::uint64_t>& root_cum;
+  std::uint64_t scan_slots = 0;  // == root_cum.back() (0 when no roots)
+  std::vector<NodeId>& payload_sources;
+  std::vector<NodeId>& owned_plcs;
+  std::vector<NodeId>& unowned_targets;
+  std::size_t hosts_owned = 0;      // non-PLC nodes at >= kActivated
   std::size_t activated_count = 0;  // A(t): host-IDS exposure pool
-  std::size_t monitoring_owned = 0;  // kSoA: rooted monitoring-view nodes
+  std::size_t monitoring_owned = 0;  // rooted monitoring-view nodes
 
   RunState(const Scenario& s, const ThreatProfile& p,
            const CampaignTables& t, const DetectionModel& d,
-           const CampaignOptions& o, const stats::Rng& base)
+           const CampaignOptions& o, const stats::Rng& base,
+           RunScratch& scratch)
       : sc(s),
         pr(p),
         det(d),
         opt(o),
         tb(t),
-        rng(base, kSoA ? kDefaultDrawBlock : 1) {
-    state.assign(tb.node_count, NodeState::kClean);
-    plc_owned.assign(tb.node_count, 0);
-    if constexpr (kSoA) {
-      scan_clean.resize(tb.node_count);
-      for (std::size_t i = 0; i < tb.node_count; ++i)
-        scan_clean[i] = (tb.flags[i] & CampaignTables::kFlagHostTarget) ? 1 : 0;
-    }
-    unowned_targets = sc.target_plcs;
-    heap.reserve(64);
+        rng(base),
+        heap(scratch.heap),
+        state(scratch.state),
+        touched(scratch.touched),
+        roots(scratch.roots),
+        root_cum(scratch.root_cum),
+        payload_sources(scratch.payload_sources),
+        owned_plcs(scratch.owned_plcs),
+        unowned_targets(scratch.unowned_targets) {
+    if (state.size() != tb.node_count)
+      state.assign(tb.node_count, NodeState::kClean);
+    heap.clear();
+    roots.clear();
+    root_cum.clear();
+    payload_sources.clear();
+    owned_plcs.clear();
+    unowned_targets.assign(sc.target_plcs.begin(), sc.target_plcs.end());
     result.compromised_ratio.emplace_back(0.0, 0.0);
   }
+
+  /// Hands the scratch back all-kClean: deliver() is the only transition
+  /// out of kClean, and it records every node it moves.
+  ~RunState() {
+    for (const NodeId n : touched) state[n] = NodeState::kClean;
+    touched.clear();
+  }
+  RunState(const RunState&) = delete;
+  RunState& operator=(const RunState&) = delete;
 
   // Telemetry tallies: plain locals, flushed to the striped obs::
   // counters once per run (run_kernel), so the event loop never touches
@@ -421,7 +436,7 @@ struct RunState {
 
   void deliver(NodeId n, CampaignEventKind kind) {
     state[n] = NodeState::kDelivered;
-    if constexpr (kSoA) scan_clean[n] = 0;
+    touched.push_back(n);
     note(n, kind);
     push(0, n, exp_delay(DrawClass::kActivation, tb.activation_rate[n]));
   }
@@ -465,9 +480,7 @@ struct RunState {
       roots.push_back(n);
       scan_slots += tb.scan_w[n] + tb.tunnel_w[n];
       root_cum.push_back(scan_slots);
-      if constexpr (kSoA) {
-        if (tb.flags[n] & CampaignTables::kFlagMonitoring) ++monitoring_owned;
-      }
+      if (tb.flags[n] & CampaignTables::kFlagMonitoring) ++monitoring_owned;
       t_prop = exp_in(DrawClass::kPropagation,
                       pr.propagation_rate * static_cast<double>(scan_slots) *
                           tb.scan_norm);
@@ -496,9 +509,9 @@ struct RunState {
     // the pair uniform over the slot ranges, so one weighted word picks
     // root, channel and victim from the precomputed ReachabilityIndex
     // target lists and per-(root, victim, channel) intensities match the
-    // unthinned scan exactly. Victim eligibility is then the SoA fast
-    // path — one fused scan_clean load instead of two array reads (the
-    // lists never contain the owner, so v != n is structural).
+    // unthinned scan exactly. A victim is eligible when it is a clean
+    // host target (the lists never contain the owner, so v != n is
+    // structural).
     const std::uint64_t x = rng.below(DrawClass::kPropagation, scan_slots);
     const std::size_t ri =
         static_cast<std::size_t>(std::upper_bound(root_cum.begin(),
@@ -518,13 +531,8 @@ struct RunState {
       }
       rem -= row.size();
     }
-    bool eligible;
-    if constexpr (kSoA) {
-      eligible = scan_clean[v] != 0;
-    } else {
-      eligible = (tb.flags[v] & CampaignTables::kFlagHostTarget) &&
-                 state[v] == NodeState::kClean;
-    }
+    const bool eligible = (tb.flags[v] & CampaignTables::kFlagHostTarget) &&
+                          state[v] == NodeState::kClean;
     ++scan_candidates;
     if (eligible &&
         (direct || rng.bernoulli(DrawClass::kPropagation, tb.firewall_bypass_p))) {
@@ -560,10 +568,8 @@ struct RunState {
       if (via_project || via_modbus) {
         const double p = via_modbus ? tb.plc_modbus_p[plc] : tb.plc_direct_p[plc];
         if (rng.bernoulli(DrawClass::kPayload, p)) {
-          plc_owned[plc] = 1;
           owned_plcs.push_back(plc);
-          // Swap-remove (contract): the pool order feeds later picks,
-          // so both kernels shrink it the same O(1) way.
+          // Swap-remove (contract): the pool order feeds later picks.
           unowned_targets[pick] = unowned_targets.back();
           unowned_targets.pop_back();
           if (!result.first_plc_compromise) result.first_plc_compromise = now;
@@ -613,21 +619,9 @@ struct RunState {
     // Full-strength spoofing needs an owned monitoring view (HMI, SCADA
     // server, or the engineering station running the vendor tools, where
     // Stuxnet actually hooked the s7otbxdx DLL); otherwise replaying
-    // recorded signals is only half effective. The SoA kernel keeps the
-    // rooted-monitoring count incrementally; the reference scans the
-    // root pool — same boolean, no draw either way.
-    bool view_owned;
-    if constexpr (kSoA) {
-      view_owned = monitoring_owned > 0;
-    } else {
-      view_owned = false;
-      for (const NodeId n : roots)
-        if (tb.flags[n] & CampaignTables::kFlagMonitoring) {
-          view_owned = true;
-          break;
-        }
-    }
-    const double spoof = pr.spoof_effectiveness * (view_owned ? 1.0 : 0.5);
+    // recorded signals is only half effective.
+    const double spoof =
+        pr.spoof_effectiveness * (monitoring_owned > 0 ? 1.0 : 0.5);
     if (rng.bernoulli(DrawClass::kAlarm, 1.0 - spoof)) {
       record_detection(CampaignEventKind::kPlantAlarmDetection);
       return;
@@ -705,11 +699,11 @@ struct CampaignCounters {
   }
 };
 
-template <bool kSoA>
 CampaignResult run_kernel(const Scenario& sc, const ThreatProfile& pr,
                           const CampaignTables& tb, const DetectionModel& det,
                           const CampaignOptions& opt, const stats::Rng& base) {
-  RunState<kSoA> st(sc, pr, tb, det, opt, base);
+  thread_local RunScratch scratch;
+  RunState st(sc, pr, tb, det, opt, base, scratch);
   st.run_until(opt.t_max_hours);
   st.result.hosts_compromised = st.hosts_owned;
   st.result.plcs_compromised = st.owned_plcs.size();
@@ -733,11 +727,7 @@ CampaignResult CampaignSimulator::run(stats::Rng& rng) const {
   // The facade derives the class streams without consuming base state,
   // so run() leaves `rng` untouched — a (cell, rep) job stays a pure
   // function of Rng(cell.seed, rep).
-  if (options_.kernel == CampaignKernel::kScalarReference)
-    return run_kernel<false>(scenario_, profile_, *tables_, detection_,
-                             options_, rng);
-  return run_kernel<true>(scenario_, profile_, *tables_, detection_, options_,
-                          rng);
+  return run_kernel(scenario_, profile_, *tables_, detection_, options_, rng);
 }
 
 Scenario make_scope_cooling_scenario() {

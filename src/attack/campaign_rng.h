@@ -1,10 +1,11 @@
-// campaign_rng.h — the batched per-event-class RNG facade of the
-// campaign kernel, and the ziggurat exponential sampler behind it.
+// campaign_rng.h — the per-event-class RNG facade of the campaign
+// kernel, and the ziggurat exponential sampler behind it.
 //
 // THE DRAW-ORDER CONTRACT (part of the reproducibility contract since
-// the SoA kernel; tests/test_soa_campaign.cpp pins it):
+// the SoA kernel; tests/test_soa_campaign.cpp pins it and
+// tests/test_campaign_golden.cpp pins its results bit for bit):
 //
-// A campaign replication no longer consumes words directly from its
+// A campaign replication does not consume words directly from its
 // stats::Rng(cell.seed, rep) stream. Instead the facade derives one
 // child stream per event class with Rng::stream(class id) — derivation
 // does not consume base state — and every random decision of the run
@@ -33,24 +34,22 @@
 //   6   host-IDS      t_host exponentials
 //   7   plant-alarm   t_alarm exponentials; spoof-thinning Bernoulli
 //
-// Within a class, words are consumed strictly in call order. The facade
-// may prefetch words per class in blocks of any size: batching never
-// reorders a class's word sequence, so every block size (including 1,
-// the scalar reference) produces bit-identical results. A (cell, rep)
-// job therefore remains a pure function of Rng(cell.seed, rep) — the
-// DIVSEC_THREADS / schedule / process-split contract of the engine —
-// while the kernel is free to reorder work across classes.
+// Within a class, words are consumed strictly in call order; that
+// per-class call order is the whole contract. Each next() pulls one word
+// straight from the class stream — nothing is prefetched, so a short run
+// pays only for the words it draws. A (cell, rep) job therefore remains
+// a pure function of Rng(cell.seed, rep) — the DIVSEC_THREADS / shard /
+// process-split contract of the engine — while the kernel is free to
+// reorder work across classes.
 //
 // Exponentials are sampled with a 256-layer Marsaglia–Tsang ziggurat
 // (one word + one table compare on the common path, vs. a libm log()
-// per draw before), shared by the batched and the scalar reference
-// kernel so both consume identical words.
+// per draw).
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "stats/rng.h"
 
@@ -76,11 +75,6 @@ enum class DrawClass : std::uint8_t {
 };
 
 inline constexpr std::size_t kDrawClassCount = 8;
-
-/// Words prefetched per class by the batched kernel. Pure performance
-/// tuning — NOT part of the determinism contract (any block size yields
-/// the same per-class word sequence, hence identical results).
-inline constexpr std::size_t kDefaultDrawBlock = 64;
 
 /// 256-layer ziggurat for Exp(1) (Marsaglia & Tsang, "The Ziggurat
 /// Method for Generating Random Variables", JSS 2000), widened to a
@@ -144,34 +138,24 @@ class ZigguratExp {
 class CampaignRng {
  public:
   /// Derives the kDrawClassCount class streams from `base` (base state
-  /// is not consumed). `block` is the per-class prefetch depth; 1 is the
-  /// scalar reference configuration.
-  explicit CampaignRng(const stats::Rng& base,
-                       std::size_t block = kDefaultDrawBlock)
-      : block_(block ? block : 1), buf_(kDrawClassCount * block_) {
-    for (std::size_t c = 0; c < kDrawClassCount; ++c) {
+  /// is not consumed).
+  explicit CampaignRng(const stats::Rng& base) {
+    for (std::size_t c = 0; c < kDrawClassCount; ++c)
       lanes_[c].rng = base.stream(c);
-      lanes_[c].pos = block_;  // empty: refill on first next()
-    }
   }
 
   /// Next raw word of the class stream, in strict per-class call order.
   [[nodiscard]] std::uint64_t next(DrawClass c) noexcept {
     Lane& lane = lanes_[static_cast<std::size_t>(c)];
-    if (lane.pos == block_) {
-      std::uint64_t* b = buf_.data() + static_cast<std::size_t>(c) * block_;
-      for (std::size_t i = 0; i < block_; ++i) b[i] = lane.rng();
-      lane.pos = 0;
-    }
 #if DIVSEC_OBS
     ++lane.drawn;
 #endif
-    return buf_[static_cast<std::size_t>(c) * block_ + lane.pos++];
+    return lane.rng();
   }
 
-  /// Words actually consumed per class this run (not prefetch refills) —
-  /// the obs:: correctness probe for the draw-ownership table above.
-  /// All zeros when the telemetry hot path is compiled out.
+  /// Words consumed per class this run — the obs:: correctness probe
+  /// for the draw-ownership table above. All zeros when the telemetry
+  /// hot path is compiled out.
   [[nodiscard]] std::array<std::uint64_t, kDrawClassCount> words_drawn()
       const noexcept {
     std::array<std::uint64_t, kDrawClassCount> out{};
@@ -215,14 +199,11 @@ class CampaignRng {
  private:
   struct Lane {
     stats::Rng rng{0, 0};
-    std::size_t pos = 0;  // == block_ => empty, refill on next()
 #if DIVSEC_OBS
     std::uint64_t drawn = 0;  // words handed out (telemetry only)
 #endif
   };
 
-  std::size_t block_;
-  std::vector<std::uint64_t> buf_;
   std::array<Lane, kDrawClassCount> lanes_;
 };
 

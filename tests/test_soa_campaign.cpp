@@ -1,16 +1,16 @@
-// Tests for the SoA campaign kernel and its batched per-event-class RNG
-// facade (attack/campaign_rng.h), plus the engine's shared lazy-context
-// path. Three contracts are pinned here:
+// Tests for the SoA campaign kernel and its per-event-class RNG facade
+// (attack/campaign_rng.h), plus the engine's shared lazy-context path.
+// Three contracts are pinned here (the kernel's exact bits are pinned
+// separately, by tests/test_campaign_golden.cpp):
 //
-//  1. The draw-order contract: class ids are fixed, the facade's words
-//     are exactly the base Rng::stream(id) words in per-class call
-//     order, and the prefetch block size changes no draw (block size is
-//     performance, never semantics).
-//  2. Kernel equivalence: the batched SoA kernel and the scalar
-//     reference kernel are bit-identical — per run and through the
-//     engine for any thread count and either schedule — and the batched
-//     kernel is statistically equivalent to the preserved PR-1 legacy
-//     engine (bench/legacy_campaign.h).
+//  1. The draw-order contract: class ids are fixed and the facade's
+//     words are exactly the base Rng::stream(id) words in per-class call
+//     order.
+//  2. Kernel determinism: a run's result does not depend on what ran
+//     before it on the same thread (the per-thread scratch is handed back
+//     clean) nor on the engine's thread count, and the kernel is
+//     statistically equivalent to the preserved PR-1 legacy engine
+//     (bench/legacy_campaign.h).
 //  3. Shared contexts: structurally identical topologies share one
 //     ReachabilityIndex, contexts are built lazily per scheduling round
 //     (peak residency far below the cell count), and none of it changes
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "attack/campaign.h"
 #include "attack/campaign_rng.h"
@@ -32,7 +33,6 @@
 namespace divsec {
 namespace {
 
-using attack::CampaignKernel;
 using attack::CampaignOptions;
 using attack::CampaignRng;
 using attack::CampaignResult;
@@ -57,7 +57,7 @@ TEST(CampaignRngContract, ClassIdsArePinned) {
 
 TEST(CampaignRngContract, FacadeWordsAreTheBaseClassStreams) {
   const stats::Rng base(2013, 7);
-  CampaignRng facade(base);  // default (batched) block
+  CampaignRng facade(base);
   for (std::size_t c = 0; c < attack::kDrawClassCount; ++c) {
     stats::Rng direct = base.stream(c);
     for (int i = 0; i < 200; ++i)
@@ -73,20 +73,6 @@ TEST(CampaignRngContract, FacadeDerivationConsumesNoBaseState) {
   // The facade worked off derived streams only: base still yields the
   // same next word as a never-touched twin.
   EXPECT_EQ(base(), untouched());
-}
-
-TEST(CampaignRngContract, BlockSizeChangesNoDraw) {
-  const stats::Rng base(42, 0);
-  CampaignRng one(base, 1);
-  CampaignRng odd(base, 7);
-  CampaignRng batched(base, attack::kDefaultDrawBlock);
-  // Interleave classes to exercise refills at different phases.
-  for (int i = 0; i < 500; ++i) {
-    const auto c = static_cast<DrawClass>(i % attack::kDrawClassCount);
-    const std::uint64_t w = one.next(c);
-    ASSERT_EQ(odd.next(c), w) << "draw " << i;
-    ASSERT_EQ(batched.next(c), w) << "draw " << i;
-  }
 }
 
 TEST(CampaignRngContract, ZigguratSamplesExpOne) {
@@ -111,7 +97,7 @@ TEST(CampaignRngContract, ZigguratSamplesExpOne) {
               5.0 * std::sqrt(std::exp(-1.0) * (1 - std::exp(-1.0)) / n));
 }
 
-// --- 2. Kernel equivalence --------------------------------------------
+// --- 2. Kernel determinism --------------------------------------------
 
 void expect_same_result(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.time_of_entry, b.time_of_entry);
@@ -135,20 +121,71 @@ class SoaKernelFixture : public ::testing::Test {
   attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();
 };
 
-TEST_F(SoaKernelFixture, KernelsBitIdenticalPerReplication) {
-  for (const char* preset : {"plant_small", "enterprise128"}) {
-    const auto made = scenario::make_preset(preset, cat, 17,
-                                            scenario::VariantPolicy::kMonoculture);
-    CampaignOptions batched;  // kernel defaults to kBatched
-    CampaignOptions scalar;
-    scalar.kernel = CampaignKernel::kScalarReference;
-    const CampaignSimulator fast(made.scenario, stuxnet, cat, {}, batched);
-    const CampaignSimulator ref(made.scenario, stuxnet, cat, {}, scalar);
-    for (std::uint64_t rep = 0; rep < 24; ++rep) {
-      stats::Rng ra(2013, rep), rb(2013, rep);
-      expect_same_result(fast.run(ra), ref.run(rb));
+/// Runs `sim` on replication `rep` on a new thread, i.e. on a fresh
+/// per-thread scratch that no earlier run has touched.
+CampaignResult run_on_fresh_thread(const CampaignSimulator& sim,
+                                   std::uint64_t rep) {
+  CampaignResult out;
+  std::thread([&] {
+    stats::Rng rng(2013, rep);
+    out = sim.run(rng);
+  }).join();
+  return out;
+}
+
+TEST_F(SoaKernelFixture, ScratchReuseAcrossFleetsChangesNoBits) {
+  // One thread's scratch serves every run on that thread: fleet sizes
+  // change under it (plant_small -> e4096 -> plant_small -> e1024 ->
+  // e4096, forcing state resizes both ways), and a non-halting run that
+  // owns most of a fleet leaves the most touched nodes behind for the
+  // halting run that follows on the same fleet. Each result must equal
+  // the same run done first on a fresh thread.
+  const auto make = [&](const char* preset, CampaignOptions opt,
+                        attack::DetectionModel det) {
+    return CampaignSimulator(
+        scenario::make_preset(preset, cat, 17,
+                              scenario::VariantPolicy::kMonoculture)
+            .scenario,
+        stuxnet, cat, det, opt);
+  };
+  const CampaignSimulator e4096 = make("enterprise4096", {}, {});
+  const CampaignSimulator small = make("plant_small", {}, {});
+  const CampaignSimulator e1024 = make("enterprise1024", {}, {});
+  // Undetected for a year, the worm spreads over most of the fleet.
+  CampaignOptions spread_opt;
+  spread_opt.detection_halts_attack = false;
+  spread_opt.t_max_hours = 8760.0;
+  attack::DetectionModel blind;
+  blind.host_detection_rate = 0.0;
+  blind.alarm_detection_rate = 0.0;
+  blind.failed_attempt_detection = 0.0;
+  const CampaignSimulator e1024_spread = make("enterprise1024", spread_opt, blind);
+  struct Step {
+    const CampaignSimulator* sim;
+    std::uint64_t rep;
+  };
+  const std::vector<Step> sequence = {
+      {&small, 0},        {&e4096, 0}, {&small, 1},        {&e1024, 2},
+      {&e4096, 3},        {&e1024_spread, 4}, {&e1024, 4},
+      {&e1024_spread, 5}, {&small, 5}, {&e4096, 6},        {&e1024, 7},
+  };
+  std::vector<CampaignResult> fresh;
+  for (const Step& s : sequence) fresh.push_back(run_on_fresh_thread(*s.sim, s.rep));
+
+  // The sequence must really leave most of a fleet touched.
+  std::size_t widest = 0;
+  for (std::size_t i = 0; i < sequence.size(); ++i)
+    if (sequence[i].sim == &e1024_spread)
+      widest = std::max(widest, fresh[i].hosts_compromised);
+  EXPECT_GT(widest, e1024_spread.scenario().topology.node_count() / 2);
+
+  std::thread([&] {
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "step " << i);
+      stats::Rng rng(2013, sequence[i].rep);
+      expect_same_result(sequence[i].sim->run(rng), fresh[i]);
     }
-  }
+  }).join();
 }
 
 void expect_bit_identical(const core::IndicatorSummary& a,
@@ -168,7 +205,7 @@ void expect_bit_identical(const core::IndicatorSummary& a,
   }
 }
 
-TEST_F(SoaKernelFixture, EngineBitIdenticalAcrossThreadsAndKernels) {
+TEST_F(SoaKernelFixture, EngineBitIdenticalAcrossThreads) {
   core::ScenarioSweepPlan plan;
   plan.cells.push_back(
       {scenario::make_preset("enterprise128", cat, 17,
@@ -181,40 +218,31 @@ TEST_F(SoaKernelFixture, EngineBitIdenticalAcrossThreadsAndKernels) {
            .scenario,
        202});
 
-  // Reference bits: serial, scalar reference kernel.
+  // Reference bits: a serial run.
   std::vector<core::IndicatorSummary> reference;
   {
     sim::Executor serial{1};
     core::MeasurementOptions mo;
     mo.replications = 12;
     mo.executor = &serial;
-    mo.campaign.kernel = CampaignKernel::kScalarReference;
     reference = core::MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan);
   }
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    for (const auto kernel :
-         {CampaignKernel::kBatched, CampaignKernel::kScalarReference}) {
-      sim::Executor ex{threads};
-      core::MeasurementOptions mo;
-      mo.replications = 12;
-      mo.executor = &ex;
-      mo.campaign.kernel = kernel;
-      const auto got =
-          core::MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan);
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t c = 0; c < got.size(); ++c) {
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " kernel="
-                     << (kernel == CampaignKernel::kBatched ? "batched"
-                                                            : "scalar")
-                     << " cell=" << c);
-        expect_bit_identical(reference[c], got[c]);
-      }
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    sim::Executor ex{threads};
+    core::MeasurementOptions mo;
+    mo.replications = 12;
+    mo.executor = &ex;
+    const auto got =
+        core::MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " cell=" << c);
+      expect_bit_identical(reference[c], got[c]);
     }
   }
 }
 
-TEST_F(SoaKernelFixture, BatchedKernelStatisticallyMatchesLegacyEngine) {
+TEST_F(SoaKernelFixture, KernelStatisticallyMatchesLegacyEngine) {
   // The PR-1 engine is preserved verbatim in bench/legacy_campaign.h:
   // same event LAW, different draw sequence, so equality holds in
   // distribution, not in bits. Compare success probability and the
