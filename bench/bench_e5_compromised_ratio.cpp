@@ -479,13 +479,8 @@ bool adaptive_sweep_phase() {
   const dist::AdaptiveResult result = dist::run_adaptive(spec, options);
 
   // Per-cell verdict against the same resolved rule the controller used.
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = options.relative_precision;
-  adaptive.absolute_precision = options.absolute_precision;
-  adaptive.confidence_level = options.confidence_level;
-  const core::AdaptiveSchedule sched = core::resolve_adaptive_schedule(
-      adaptive, spec.replications, spec.superblock);
+  const dist::AdaptiveSchedule sched = dist::resolve_adaptive_schedule(
+      options, spec.replications, spec.superblock);
   bool precision_ok = true;
   bench::row({"cell", "achieved", "rounds", "verdict"}, 14);
   for (std::size_t c = 0; c < result.meta.cells; ++c) {

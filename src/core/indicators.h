@@ -15,16 +15,19 @@
 //    produces all three indicators including c(t) curves);
 //  * kStagedSan — the staged-attack SAN abstraction (fast; TTA/TTSF as
 //    first-passage times; ratio degenerates to success indicator).
+//
+// MeasurementOptions fixes a replication budget per cell. Adaptive
+// (variance-driven) allocation is not a measurement option: it is the
+// dist::run_adaptive driver (dist/adaptive.h), which spends superblock
+// tasks round by round through MeasurementEngine::measure_scenario_tasks.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "attack/san_model.h"
 #include "attack/stages.h"
 #include "core/configuration.h"
-#include "sim/stopping.h"
 #include "stats/descriptive.h"
 #include "stats/survival.h"
 
@@ -69,7 +72,7 @@ struct IndicatorSummary {
   std::size_t successes = 0;
 
   /// Censoring-aware estimates of the event times (streaming
-  /// product-limit restricted mean / median + P² quantile sketches).
+  /// product-limit restricted mean / median + t-digest quantile sketches).
   /// `tta.mean()` / `ttsf.mean()` silently average censored-at-horizon
   /// values — a downward-biased estimate under censoring; these are the
   /// unbiased companions to report next to them.
@@ -101,75 +104,6 @@ struct IndicatorSummary {
 
   std::vector<IndicatorSample> samples;  // per replication, in order
 };
-
-/// Variance-driven adaptive replication allocation (the sweep-level
-/// Law & Kelton procedure; see MeasurementEngine::measure_scenarios_adaptive
-/// and dist::run_adaptive). The sweep runs in superblock rounds: after
-/// each round every active cell's streaming accumulator is tested against
-/// the CI half-width rule (sim/stopping.h) and converged cells retire
-/// from the task queue. Decisions land on superblock boundaries — the
-/// superblock stays the distributable, replayable unit — so the recorded
-/// per-cell achieved counts are always whole numbers of superblocks (or
-/// the cell's final short superblock).
-struct AdaptiveOptions {
-  bool enabled = false;
-  /// Per-indicator CI half-width targets at confidence_level, applied to
-  /// the censored-at-horizon TTA/TTSF moments and the final compromised
-  /// ratio; a cell retires when all three indicators meet either
-  /// criterion (0 disables a criterion). The absolute floor is in ratio
-  /// units for the compromised ratio and is scaled by the horizon for
-  /// the time indicators (absolute_precision * horizon hours) so one
-  /// knob covers all-censored cells whose relative rule never fires.
-  double relative_precision = 0.05;
-  double absolute_precision = 0.0;
-  double confidence_level = 0.95;
-  /// Replications before the rule may fire. 0 resolves to one superblock.
-  std::size_t min_replications = 0;
-  /// Hard cap per cell; 0 resolves to options.replications (and is
-  /// always clamped to it — the fixed budget provisions the task plan).
-  std::size_t max_replications = 0;
-  /// Replications added per round to each still-active cell; 0 resolves
-  /// to one superblock, other values round up to superblock multiples.
-  std::size_t round_replications = 0;
-};
-
-/// The whole-superblock schedule an AdaptiveOptions resolves to against a
-/// concrete budget and superblock size. Shared by the in-process driver
-/// (MeasurementEngine::measure_scenarios_adaptive) and the cross-process
-/// coordinator (dist::run_adaptive) so both make identical retirement
-/// decisions — the recorded per-cell counts, and therefore the replay,
-/// cannot depend on which driver ran.
-struct AdaptiveSchedule {
-  sim::StoppingRule rule;          // min/max resolved against the budget
-  std::size_t first_superblocks = 1;  // superblocks per cell in round 1
-  std::size_t round_superblocks = 1;  // superblocks per later round
-};
-
-[[nodiscard]] inline AdaptiveSchedule resolve_adaptive_schedule(
-    const AdaptiveOptions& adaptive, std::size_t replications,
-    std::size_t superblock) {
-  AdaptiveSchedule s;
-  s.rule.confidence_level = adaptive.confidence_level;
-  s.rule.relative_precision = adaptive.relative_precision;
-  s.rule.absolute_precision = adaptive.absolute_precision;
-  const std::size_t min_reps =
-      adaptive.min_replications
-          ? std::min(adaptive.min_replications, replications)
-          : std::min(superblock, replications);
-  const std::size_t max_reps =
-      adaptive.max_replications
-          ? std::min(adaptive.max_replications, replications)
-          : replications;
-  s.rule.min_replications = min_reps;
-  s.rule.max_replications = std::max(max_reps, min_reps);
-  const std::size_t round_reps =
-      adaptive.round_replications ? adaptive.round_replications : superblock;
-  s.first_superblocks =
-      std::max<std::size_t>(1, (min_reps + superblock - 1) / superblock);
-  s.round_superblocks =
-      std::max<std::size_t>(1, (round_reps + superblock - 1) / superblock);
-  return s;
-}
 
 struct MeasurementOptions {
   Engine engine = Engine::kCampaign;
@@ -212,10 +146,6 @@ struct MeasurementOptions {
   /// way, and a caller already running inside an executor job reuses its
   /// thread inline (no nested parallelism or deadlock).
   const sim::Executor* executor = nullptr;
-  /// Adaptive replication allocation (campaign scenario sweeps only).
-  /// When enabled, measure_scenarios() delegates to the adaptive driver;
-  /// options.replications becomes the per-cell budget cap.
-  AdaptiveOptions adaptive{};
 };
 
 /// Step-1 bridge: derive the staged attack model (per-stage success

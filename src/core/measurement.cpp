@@ -425,120 +425,12 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios(
   if (options_.engine != Engine::kCampaign)
     throw std::invalid_argument(
         "measure_scenarios: requires the campaign engine");
-  if (options_.adaptive.enabled) {
-    if (visit)
-      throw std::invalid_argument(
-          "measure_scenarios: adaptive mode is streaming-only (no cell "
-          "visitor)");
-    return measure_scenarios_adaptive(plan);
-  }
   const std::size_t cells = plan.cell_count();
   ContextFactory factory(*catalog_, *profile_, options_,
                          std::span<const ScenarioCell>(plan.cells));
   std::vector<std::uint64_t> seeds(cells);
   for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
   return run_cells(factory, seeds, visit);
-}
-
-std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
-    const ScenarioSweepPlan& plan, AdaptiveReport* report) const {
-  if (options_.engine != Engine::kCampaign)
-    throw std::invalid_argument(
-        "measure_scenarios_adaptive: requires the campaign engine");
-  if (options_.keep_samples)
-    throw std::invalid_argument(
-        "measure_scenarios_adaptive: streaming only — keep_samples must be "
-        "off (per-cell counts are not known up front, so there is no "
-        "rectangular sample matrix to retain)");
-  const AdaptiveOptions& adaptive = options_.adaptive;
-  if (!(adaptive.relative_precision > 0.0) &&
-      !(adaptive.absolute_precision > 0.0))
-    throw std::invalid_argument(
-        "measure_scenarios_adaptive: need relative_precision or "
-        "absolute_precision > 0 (otherwise no cell can ever converge)");
-
-  const std::size_t cells = plan.cell_count();
-  const double horizon = options_.campaign.t_max_hours;
-  const sim::ShardPlan shard = shard_plan(cells);
-  const std::size_t per_group = shard.superblocks_per_group();
-  const AdaptiveSchedule sched = resolve_adaptive_schedule(
-      adaptive, options_.replications, shard.superblock());
-
-  ContextFactory factory(*catalog_, *profile_, options_,
-                         std::span<const ScenarioCell>(plan.cells));
-  std::vector<std::uint64_t> seeds(cells);
-  for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
-
-  // One accumulator per cell, fed round by round with exactly the fold
-  // sequence the exact reducer uses: the cell's first superblock partial
-  // becomes the accumulator, later partials merge in ascending superblock
-  // order. Replaying the recorded per-cell prefix through
-  // measure_scenario_tasks + reduce_task_partials therefore performs the
-  // identical operation sequence — bit-identical summaries.
-  std::vector<IndicatorAccumulator> acc(cells);
-  std::vector<bool> has(cells, false);
-  std::vector<std::size_t> folded_sb(cells, 0);  // superblocks folded so far
-  std::vector<std::uint64_t> achieved(cells, 0);
-  std::vector<std::uint64_t> done_round(cells, 0);
-  std::vector<std::size_t> active(cells);
-  for (std::size_t c = 0; c < cells; ++c) active[c] = c;
-
-  std::size_t round = 0;
-  std::vector<std::uint64_t> tasks;
-  std::vector<std::size_t> still;
-  while (!active.empty()) {
-    ++round;
-    const std::size_t take =
-        round == 1 ? sched.first_superblocks : sched.round_superblocks;
-    tasks.clear();
-    for (const std::size_t c : active) {
-      const std::size_t end = std::min(per_group, folded_sb[c] + take);
-      for (std::size_t s = folded_sb[c]; s < end; ++s)
-        tasks.push_back(static_cast<std::uint64_t>(c * per_group + s));
-    }
-    std::vector<IndicatorAccumulator> partials = run_tasks(
-        factory, seeds, shard, tasks, /*samples=*/nullptr,
-        /*task_seconds=*/nullptr);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const std::size_t c = static_cast<std::size_t>(tasks[i]) / per_group;
-      if (!has[c]) {
-        acc[c] = std::move(partials[i]);
-        has[c] = true;
-      } else {
-        acc[c].merge(partials[i]);
-      }
-    }
-    still.clear();
-    for (const std::size_t c : active) {
-      folded_sb[c] = std::min(per_group, folded_sb[c] + take);
-      achieved[c] = acc[c].count();
-      const bool capped = folded_sb[c] >= per_group ||
-                          achieved[c] >= sched.rule.max_replications;
-      const bool converged = achieved[c] >= sched.rule.min_replications &&
-                             acc[c].precision_reached(sched.rule);
-      if (capped || converged)
-        done_round[c] = round;
-      else
-        still.push_back(c);
-    }
-    active.swap(still);
-  }
-
-  std::vector<IndicatorSummary> out(cells);
-  std::uint64_t total = 0;
-  for (std::size_t c = 0; c < cells; ++c) {
-    out[c] = acc[c].summarize();
-    out[c].replications = static_cast<std::size_t>(achieved[c]);
-    out[c].horizon_hours = horizon;
-    total += achieved[c];
-  }
-  if (report) {
-    report->achieved = std::move(achieved);
-    report->rounds = std::move(done_round);
-    report->total_rounds = round;
-    report->total_replications = total;
-  }
-  return out;
 }
 
 std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(

@@ -1,17 +1,21 @@
-// adaptive.h — the cross-process adaptive sweep coordinator.
+// adaptive.h — the adaptive sweep driver.
 //
 // `divsec_sweep adapt` runs here: a multi-round loop that spends
-// replications only where variance demands them. Each round the
-// coordinator deals the still-active cells' next superblock tasks to K
-// shards by LPT over the cost model measured so far (round 1 is
-// uniform), each shard runs its list through the ordinary shard runner
-// and flushes its partial state through the PR-4 codec (the bytes
-// genuinely round-trip the serializer — the in-process shards of this
-// loop and real OS processes exercise the identical transport), and the
-// coordinator folds the round's partials into per-cell accumulators in
-// ascending (cell, superblock) order, applies the shared stopping rule
-// (sim/stopping.h via IndicatorAccumulator::precision_reached), and
-// retires converged cells.
+// replications only where variance demands them. The sweep is expanded
+// once per run (catalog, threat profile, plan, one MeasurementEngine).
+// Each round measures the still-active cells' next superblock tasks in
+// one engine call — one work queue, so every executor thread stays busy
+// however few tasks a shard would hold — then deals the round's
+// partials to K shards by LPT over the cost model measured so far
+// (round 1 is uniform) and pushes each shard's state through the state
+// codec. The coordinator folds exactly the decoded bytes an OS process
+// would have flushed, so the in-process loop and a real fleet share one
+// transport and one validation path. It folds them into per-cell
+// accumulators in ascending (cell, superblock) order, applies the
+// shared stopping rule (sim/stopping.h via
+// IndicatorAccumulator::precision_reached), and retires converged cells.
+// The implementation lives in sweep.cpp, next to the shard runner it
+// shares its packaging and summary helpers with.
 //
 // Reproducibility contract: the recorded per-cell achieved counts
 // (SweepMeta::achieved) — not the round schedule — are the contract.
@@ -26,24 +30,56 @@
 #include <vector>
 
 #include "dist/sweep.h"
+#include "sim/stopping.h"
 
 namespace divsec::dist {
 
-/// Coordinator knobs. Precision fields mirror core::AdaptiveOptions
-/// (resolved through the same core::resolve_adaptive_schedule, so the
-/// in-process and cross-process drivers retire cells identically).
+/// Variance-driven replication allocation (the sweep-level Law & Kelton
+/// procedure). The sweep runs in superblock rounds: after each round
+/// every active cell's streaming accumulator is tested against the CI
+/// half-width rule (sim/stopping.h) and converged cells retire from the
+/// task queue. Decisions land on superblock boundaries — the superblock
+/// stays the distributable, replayable unit — so the recorded per-cell
+/// achieved counts are always whole numbers of superblocks (or the
+/// cell's final short superblock).
 struct AdaptiveSweepOptions {
+  /// Shards each round's partials are dealt to (LPT over measured cost)
+  /// and pushed through the state codec as.
   std::size_t shards = 1;
+  /// Per-indicator CI half-width targets at confidence_level, applied to
+  /// the censored-at-horizon TTA/TTSF moments and the final compromised
+  /// ratio; a cell retires when all three indicators meet either
+  /// criterion (0 disables a criterion). The absolute floor is in ratio
+  /// units for the compromised ratio and is scaled by the horizon for
+  /// the time indicators (absolute_precision * horizon hours) so one
+  /// knob covers all-censored cells whose relative rule never fires.
   double relative_precision = 0.05;
   double absolute_precision = 0.0;
-  double confidence_level = 0.95;
-  std::size_t min_replications = 0;    // 0 = one superblock
-  std::size_t max_replications = 0;    // 0 = spec.replications (the cap)
-  std::size_t round_replications = 0;  // 0 = one superblock
+  double confidence_level = 0.95;      // must lie in (0, 1)
+  /// Replications before the rule may fire. 0 resolves to one superblock.
+  std::size_t min_replications = 0;
+  /// Hard cap per cell; 0 resolves to spec.replications (and is always
+  /// clamped to it — the fixed budget provisions the task plan).
+  std::size_t max_replications = 0;
+  /// Replications added per round to each still-active cell; 0 resolves
+  /// to one superblock, other values round up to superblock multiples.
+  std::size_t round_replications = 0;
 };
 
-/// What the coordinator produced: the merged result (meta.achieved
-/// records where every cell stopped) plus the round-by-round provenance.
+/// The whole-superblock schedule the options resolve to against a
+/// concrete budget and superblock size.
+struct AdaptiveSchedule {
+  sim::StoppingRule rule;             // min/max resolved against the budget
+  std::size_t first_superblocks = 1;  // superblocks per cell in round 1
+  std::size_t round_superblocks = 1;  // superblocks per later round
+};
+
+[[nodiscard]] AdaptiveSchedule resolve_adaptive_schedule(
+    const AdaptiveSweepOptions& options, std::size_t replications,
+    std::size_t superblock);
+
+/// What the driver produced: the merged result (meta.achieved records
+/// where every cell stopped) plus the round-by-round provenance.
 struct AdaptiveResult {
   SweepMeta meta;  // merged = true, achieved filled
   std::vector<core::IndicatorAccumulator> accumulators;  // one per cell
@@ -55,18 +91,19 @@ struct AdaptiveResult {
   std::uint64_t budget_replications = 0;      // cells × spec.replications
 };
 
-/// Run the adaptive coordinator loop. spec.achieved must be empty (the
-/// run records it); spec.replications is the per-cell budget cap. Throws
-/// std::invalid_argument for zero shards or when both precision criteria
-/// are disabled. The executor threads each in-process shard's engine
-/// (null = sim::Executor::shared()); results are bit-identical for any
-/// thread count and any shard count.
+/// Run the adaptive loop. spec.achieved must be empty (the run records
+/// it); spec.replications is the per-cell budget cap. Throws
+/// std::invalid_argument before any replication runs for zero shards, a
+/// confidence level outside (0, 1), or when both precision criteria are
+/// disabled. The executor runs every round's queue (null =
+/// sim::Executor::shared()); results are bit-identical for any thread
+/// count and any shard count.
 [[nodiscard]] AdaptiveResult run_adaptive(
     const SweepSpec& spec, const AdaptiveSweepOptions& options,
     const sim::Executor* executor = nullptr);
 
-/// The coordinator's result as a writable merged state (meta.achieved +
-/// round log + termination rounds carried) — what `inspect` reads and
+/// The driver's result as a writable merged state (meta.achieved + round
+/// log + termination rounds carried) — what `inspect` reads and
 /// `run --replay` replays.
 [[nodiscard]] ShardState adaptive_state(const AdaptiveResult& result);
 

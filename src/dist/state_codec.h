@@ -125,7 +125,7 @@ struct RoundLog {
   std::uint64_t active_cells = 0;  // cells still unconverged this round
   std::uint64_t tasks = 0;         // superblock tasks dealt this round
   std::uint64_t replications = 0;  // replications folded this round
-  double wall_ms = 0.0;            // slowest shard's wall time
+  double wall_ms = 0.0;            // wall time of the round's measure call
   double merge_ms = 0.0;           // coordinator decode+fold time
 };
 

@@ -1,11 +1,18 @@
 #include "dist/sweep.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "attack/threat.h"
 #include "core/report.h"
+#include "dist/adaptive.h"
+#include "obs/metrics.h"
+#include "obs/progress.h"
+#include "obs/trace.h"
 #include "scenario/presets.h"
 #include "sim/executor.h"
 #include "stats/rng.h"
@@ -24,13 +31,12 @@ double timed_ms(const F& f) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-
 std::vector<core::IndicatorSummary> summarize_cells(
     const SweepMeta& meta, const std::vector<core::IndicatorAccumulator>& acc) {
   // Mirrors the engine's reassembly exactly so merged summaries are
   // field-for-field identical to the in-process path (run_cells for
-  // fixed budgets, measure_scenarios_adaptive for recorded counts — the
-  // achieved list feeds replications-derived columns like success_prob).
+  // fixed budgets, run_adaptive for recorded counts — the achieved list
+  // feeds replications-derived columns like success_prob).
   std::vector<core::IndicatorSummary> out(acc.size());
   for (std::size_t c = 0; c < acc.size(); ++c) {
     out[c] = acc[c].summarize();
@@ -41,6 +47,66 @@ std::vector<core::IndicatorSummary> summarize_cells(
   }
   return out;
 }
+
+/// Package computed superblock partials as one shard's state. `tasks`
+/// (ascending) is a subset of `computed`, the ascending list `partials`
+/// and `seconds` run parallel to. Each task ships its partial's exact
+/// state, and its fold time lands in the state's per-cell cost model —
+/// the measurement feed of `divsec_sweep plan --weights` and of the
+/// adaptive LPT deal.
+ShardState package_shard(const SweepMeta& meta, const sim::ShardPlan& plan,
+                         std::span<const std::uint64_t> tasks,
+                         std::span<const std::uint64_t> computed,
+                         std::span<const core::IndicatorAccumulator> partials,
+                         std::span<const double> seconds) {
+  ShardState state;
+  state.meta = meta;
+  state.tasks.assign(tasks.begin(), tasks.end());
+  state.partials.reserve(tasks.size());
+  state.cost.cells.assign(meta.cells, CellCost{});
+  for (const std::uint64_t t : tasks) {
+    const auto i = static_cast<std::size_t>(
+        std::lower_bound(computed.begin(), computed.end(), t) -
+        computed.begin());
+    state.partials.push_back(partials[i].state());
+    const sim::ShardPlan::Task task = plan.task(t);
+    CellCost& cell = state.cost.cells[task.group];
+    cell.replications += task.end - task.begin;
+    cell.seconds += seconds[i];
+  }
+  return state;
+}
+
+/// A merged result as a state file: one "task" per cell carrying the
+/// cell's folded accumulator.
+ShardState cells_state(const SweepMeta& meta,
+                       const std::vector<core::IndicatorAccumulator>& acc,
+                       const CostModel& cost) {
+  ShardState state;
+  state.meta = meta;
+  state.meta.merged = true;
+  state.tasks.resize(acc.size());
+  for (std::size_t c = 0; c < state.tasks.size(); ++c) state.tasks[c] = c;
+  state.partials.reserve(acc.size());
+  for (const auto& a : acc) state.partials.push_back(a.state());
+  state.cost = cost;
+  return state;
+}
+
+/// Adaptive-loop telemetry: one add per round, nothing per replication.
+struct AdaptCounters {
+  obs::Counter& rounds = obs::counter("adapt.rounds");
+  obs::Counter& cells_retired = obs::counter("adapt.cells_retired");
+  obs::Counter& round_tasks = obs::counter("adapt.round_tasks");
+  obs::Counter& round_replications = obs::counter("adapt.round_replications");
+  obs::Counter& merge_ns = obs::counter("adapt.merge_ns");
+  obs::Histogram& deal_tasks = obs::histogram("adapt.deal_tasks");
+
+  static const AdaptCounters& instance() {
+    static const AdaptCounters counters;
+    return counters;
+  }
+};
 
 }  // namespace
 
@@ -181,17 +247,15 @@ ShardState run_shard_tasks(const SweepSpec& spec,
                            std::vector<std::uint64_t> tasks, std::size_t shard,
                            std::size_t shard_count,
                            const sim::Executor* executor) {
-  ShardState state;
-  state.meta = make_meta(spec);
-  state.meta.shard = shard;
-  state.meta.shard_count = shard_count;
+  SweepMeta meta = make_meta(spec);
+  meta.shard = shard;
+  meta.shard_count = shard_count;
   if (executor)
-    state.meta.threads = static_cast<std::uint32_t>(executor->thread_count());
+    meta.threads = static_cast<std::uint32_t>(executor->thread_count());
+  const sim::ShardPlan plan = sweep_shard_plan(meta);
 
-  const sim::ShardPlan plan = sweep_shard_plan(state.meta);
-  state.tasks = std::move(tasks);
-
-  state.meta.wall_ms = timed_ms([&] {
+  ShardState state;
+  const double wall_ms = timed_ms([&] {
     const divers::VariantCatalog catalog =
         divers::VariantCatalog::standard(spec.seed);
     const attack::ThreatProfile profile = threat_profile(spec.threat);
@@ -200,19 +264,10 @@ ShardState run_shard_tasks(const SweepSpec& spec,
     const core::ScenarioSweepPlan sweep = expand_plan(spec, catalog);
     std::vector<double> task_seconds;
     const std::vector<core::IndicatorAccumulator> partials =
-        engine.measure_scenario_tasks(sweep, plan, state.tasks, &task_seconds);
-    state.partials.reserve(partials.size());
-    for (const auto& p : partials) state.partials.push_back(p.state());
-    // Fold the per-task timings into the per-cell cost model this state
-    // ships: the measurement feed of `divsec_sweep plan --weights`.
-    state.cost.cells.assign(state.meta.cells, CellCost{});
-    for (std::size_t t = 0; t < state.tasks.size(); ++t) {
-      const sim::ShardPlan::Task task = plan.task(state.tasks[t]);
-      CellCost& cell = state.cost.cells[task.group];
-      cell.replications += task.end - task.begin;
-      cell.seconds += task_seconds[t];
-    }
+        engine.measure_scenario_tasks(sweep, plan, tasks, &task_seconds);
+    state = package_shard(meta, plan, tasks, tasks, partials, task_seconds);
   });
+  state.meta.wall_ms = wall_ms;
   return state;
 }
 
@@ -224,6 +279,220 @@ std::vector<core::IndicatorSummary> run_in_process(
   const core::MeasurementOptions options = sweep_options(spec, executor);
   const core::MeasurementEngine engine(catalog, profile, options);
   return engine.measure_scenarios(expand_plan(spec, catalog));
+}
+
+AdaptiveSchedule resolve_adaptive_schedule(const AdaptiveSweepOptions& options,
+                                           std::size_t replications,
+                                           std::size_t superblock) {
+  AdaptiveSchedule s;
+  s.rule.confidence_level = options.confidence_level;
+  s.rule.relative_precision = options.relative_precision;
+  s.rule.absolute_precision = options.absolute_precision;
+  const std::size_t min_reps =
+      options.min_replications
+          ? std::min(options.min_replications, replications)
+          : std::min(superblock, replications);
+  const std::size_t max_reps =
+      options.max_replications
+          ? std::min(options.max_replications, replications)
+          : replications;
+  s.rule.min_replications = min_reps;
+  s.rule.max_replications = std::max(max_reps, min_reps);
+  const std::size_t round_reps =
+      options.round_replications ? options.round_replications : superblock;
+  s.first_superblocks =
+      std::max<std::size_t>(1, (min_reps + superblock - 1) / superblock);
+  s.round_superblocks =
+      std::max<std::size_t>(1, (round_reps + superblock - 1) / superblock);
+  return s;
+}
+
+AdaptiveResult run_adaptive(const SweepSpec& spec,
+                            const AdaptiveSweepOptions& options,
+                            const sim::Executor* executor) {
+  if (options.shards == 0)
+    throw std::invalid_argument("run_adaptive: need >= 1 shard");
+  if (!spec.achieved.empty())
+    throw std::invalid_argument(
+        "run_adaptive: spec already carries achieved counts (that is a "
+        "replay input, not an adaptive-run input)");
+  if (!(options.relative_precision > 0.0) &&
+      !(options.absolute_precision > 0.0))
+    throw std::invalid_argument(
+        "run_adaptive: need relative_precision or absolute_precision > 0 "
+        "(otherwise no cell can ever converge)");
+  if (!(options.confidence_level > 0.0 && options.confidence_level < 1.0))
+    throw std::invalid_argument(
+        "run_adaptive: confidence_level must be in (0, 1)");
+
+  AdaptiveResult result;
+  result.meta = make_meta(spec);
+  SweepMeta& meta = result.meta;
+  const sim::ShardPlan plan = sweep_shard_plan(meta);
+  const std::size_t per_group = plan.superblocks_per_group();
+  const std::size_t cells = meta.cells;
+  const AdaptiveSchedule sched = resolve_adaptive_schedule(
+      options, static_cast<std::size_t>(meta.replications),
+      static_cast<std::size_t>(meta.superblock));
+
+  std::vector<core::IndicatorAccumulator> acc(cells);
+  std::vector<bool> has(cells, false);
+  std::vector<std::size_t> folded_sb(cells, 0);
+  std::vector<std::uint64_t> achieved(cells, 0);
+  result.cell_rounds.assign(cells, 0);
+  std::vector<std::size_t> active(cells);
+  for (std::size_t c = 0; c < cells; ++c) active[c] = c;
+
+  std::uint64_t round = 0;
+  std::vector<std::uint64_t> tasks;
+  std::vector<double> task_seconds;
+  std::vector<std::size_t> still;
+  const AdaptCounters& counters = AdaptCounters::instance();
+  meta.wall_ms = timed_ms([&] {
+    // Expand once per run, as run_in_process does: every round measures
+    // through this one engine.
+    const divers::VariantCatalog catalog =
+        divers::VariantCatalog::standard(spec.seed);
+    const attack::ThreatProfile profile = threat_profile(spec.threat);
+    const core::MeasurementEngine engine(catalog, profile,
+                                         sweep_options(spec, executor));
+    const core::ScenarioSweepPlan sweep = expand_plan(spec, catalog);
+
+    while (!active.empty()) {
+      const obs::Span round_span("adapt.round");
+      ++round;
+      const std::size_t take =
+          round == 1 ? sched.first_superblocks : sched.round_superblocks;
+      tasks.clear();
+      std::uint64_t round_reps = 0;
+      for (const std::size_t c : active) {
+        const std::size_t end = std::min(per_group, folded_sb[c] + take);
+        for (std::size_t s = folded_sb[c]; s < end; ++s) {
+          const std::uint64_t t = static_cast<std::uint64_t>(c * per_group + s);
+          tasks.push_back(t);
+          const sim::ShardPlan::Task span = plan.task(t);
+          round_reps += span.end - span.begin;
+        }
+      }
+
+      // The round's tasks — ascending in (cell, superblock) — run as one
+      // queue, so the executor's threads share every block of the round.
+      std::vector<core::IndicatorAccumulator> partials;
+      const double measure_ms = timed_ms([&] {
+        partials = engine.measure_scenario_tasks(sweep, plan, tasks,
+                                                 &task_seconds);
+      });
+
+      // Deal the round's partials by LPT over the cost measured so far
+      // (round 1 has no measurements yet — sec_per_rep falls back to
+      // uniform, so the deal degenerates to a balanced one) and push each
+      // shard's state through the codec: the coordinator consumes exactly
+      // the bytes an OS process would have flushed, so the in-process
+      // loop and a real fleet share one transport and one validation path.
+      const std::vector<std::vector<std::uint64_t>> deal =
+          cost_weighted_assignment(plan, result.cost, options.shards, tasks);
+      std::vector<std::string> flushed;
+      flushed.reserve(deal.size());
+      for (std::size_t i = 0; i < deal.size(); ++i) {
+        if (deal[i].empty()) continue;
+        const obs::Span shard_span("adapt.shard");
+        counters.deal_tasks.observe(deal[i].size());
+        SweepMeta shard_meta = meta;
+        shard_meta.shard = i;
+        shard_meta.shard_count = options.shards;
+        flushed.push_back(encode_shard_state(package_shard(
+            shard_meta, plan, deal[i], tasks, partials, task_seconds)));
+      }
+      partials.clear();
+
+      // Fold the round's partials in ascending (cell, superblock) order —
+      // the first partial of a cell becomes its accumulator, later ones
+      // merge into it: the identical left-fold merge_shards performs on a
+      // replay, hence bit-identical summaries.
+      const double merge_ms = timed_ms([&] {
+        const obs::Span merge_span("adapt.merge");
+        std::vector<std::pair<std::uint64_t, core::IndicatorAccumulator>>
+            parts;
+        parts.reserve(tasks.size());
+        for (const std::string& bytes : flushed) {
+          ShardState state = decode_shard_state(bytes);
+          if (sweep_fingerprint(state.meta) != sweep_fingerprint(meta))
+            throw std::logic_error(
+                "run_adaptive: shard state fingerprint drifted");
+          for (std::size_t i = 0; i < state.tasks.size(); ++i)
+            parts.emplace_back(state.tasks[i],
+                               core::IndicatorAccumulator::from_state(
+                                   state.partials[i]));
+          result.cost.merge(state.cost);
+        }
+        std::sort(parts.begin(), parts.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        for (auto& [t, partial] : parts) {
+          const std::size_t c = static_cast<std::size_t>(t) / per_group;
+          if (!has[c]) {
+            acc[c] = std::move(partial);
+            has[c] = true;
+          } else {
+            acc[c].merge(partial);
+          }
+        }
+      });
+
+      still.clear();
+      for (const std::size_t c : active) {
+        folded_sb[c] = std::min(per_group, folded_sb[c] + take);
+        achieved[c] = acc[c].count();
+        const bool capped = folded_sb[c] >= per_group ||
+                            achieved[c] >= sched.rule.max_replications;
+        const bool converged = achieved[c] >= sched.rule.min_replications &&
+                               acc[c].precision_reached(sched.rule);
+        if (capped || converged)
+          result.cell_rounds[c] = round;
+        else
+          still.push_back(c);
+      }
+      result.rounds.push_back(
+          RoundLog{round, static_cast<std::uint64_t>(active.size()),
+                   static_cast<std::uint64_t>(tasks.size()), round_reps,
+                   measure_ms, merge_ms});
+
+      const std::size_t retired = active.size() - still.size();
+      counters.rounds.add(1);
+      counters.cells_retired.add(retired);
+      counters.round_tasks.add(tasks.size());
+      counters.round_replications.add(round_reps);
+      counters.merge_ns.add(
+          static_cast<std::uint64_t>(std::llround(merge_ms * 1e6)));
+      // One summary line per round is the operator's convergence view
+      // (stderr only — never a byte of CSV/state output).
+      obs::progress_line("adapt round %" PRIu64
+                         ": retired %zu, active %zu, measure %.2fs, "
+                         "merge %.1f ms",
+                         round, retired, still.size(), measure_ms / 1000.0,
+                         merge_ms);
+      active.swap(still);
+    }
+  });
+
+  meta.achieved = achieved;
+  meta.merged = true;
+  meta.shard = 0;
+  meta.shard_count = options.shards;
+  if (executor)
+    meta.threads = static_cast<std::uint32_t>(executor->thread_count());
+  result.summaries = summarize_cells(meta, acc);
+  for (const std::uint64_t a : achieved) result.total_replications += a;
+  result.budget_replications = meta.cells * meta.replications;
+  result.accumulators = std::move(acc);
+  return result;
+}
+
+ShardState adaptive_state(const AdaptiveResult& result) {
+  ShardState state =
+      cells_state(result.meta, result.accumulators, result.cost);
+  state.rounds = result.rounds;
+  state.cell_rounds = result.cell_rounds;
+  return state;
 }
 
 MergeResult merge_shards(const std::vector<ShardState>& states) {
@@ -303,15 +572,7 @@ MergeResult merge_shards(const std::vector<ShardState>& states) {
 }
 
 ShardState merged_state(const MergeResult& merged) {
-  ShardState state;
-  state.meta = merged.meta;
-  state.meta.merged = true;
-  state.tasks.resize(merged.accumulators.size());
-  for (std::size_t c = 0; c < state.tasks.size(); ++c) state.tasks[c] = c;
-  state.partials.reserve(merged.accumulators.size());
-  for (const auto& a : merged.accumulators) state.partials.push_back(a.state());
-  state.cost = merged.cost;
-  return state;
+  return cells_state(merged.meta, merged.accumulators, merged.cost);
 }
 
 std::vector<core::IndicatorSummary> summaries_from_merged(

@@ -47,7 +47,7 @@ struct FirstPassageResult {
   std::size_t replications = 0;
   double t_max = 0.0;
   /// Censoring-aware aggregate of the absorption time (streaming
-  /// product-limit restricted mean / median + P² sketches) — the
+  /// product-limit restricted mean / median + t-digest quantiles) — the
   /// unbiased companion to conditional_mean() under heavy censoring.
   stats::CensoredTimeSummary event_time;
 

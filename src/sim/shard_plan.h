@@ -4,7 +4,7 @@
 // The streaming backends reduce each group's index range through
 // fixed-size blocks merged in ascending order (sim/streaming.h). That
 // left-fold is deterministic but not decomposable: floating-point merges
-// (parallel Welford, the P² pooled-CDF resample) are not associative, so
+// (parallel Welford, t-digest re-compression) are not associative, so
 // a partial computed over an arbitrary block range cannot be combined
 // with another partial bit-identically to the single left-fold.
 //

@@ -2,8 +2,8 @@
 //
 // One place for the Law & Kelton CI half-width criterion so the
 // single-experiment controller (sim/replication.cpp) and the adaptive
-// sweep drivers (core::MeasurementEngine adaptive mode, dist::run_adaptive)
-// apply bit-for-bit the same predicate to the same streaming moments.
+// sweep driver (dist::run_adaptive) apply bit-for-bit the same predicate
+// to the same streaming moments.
 //
 // Two criteria, either of which stops the run once the minimum is met:
 //   relative: half-width <= relative_precision * |mean|

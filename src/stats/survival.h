@@ -18,11 +18,10 @@
 // CensoredTimeAccumulator bundles StreamingSurvival with Welford moments
 // and a mergeable t-digest of the censored-at-horizon values: the one
 // per-indicator aggregation state shared by the campaign measurement
-// engine and the SAN first-passage estimators. (The digest replaced the
-// paired P² sketches once the accuracy audit showed the P² pooled-CDF
-// merge drifts +4–23% under the deep superblock × shard × round merge
-// trees; P2Quantile stays available as the single-stream reference —
-// see stats/quantile_sketch.h.)
+// engine and the SAN first-passage estimators. The digest's merge is
+// deterministic in merge order and stays within its accuracy bound under
+// the deep superblock × shard × round merge trees
+// (tests/test_p2_accuracy.cpp checks it against exact quantiles).
 #pragma once
 
 #include <cstdint>
@@ -184,15 +183,14 @@ struct CensoredTimeSummary {
 /// t-digest quantile sketch, and the binned product-limit curve. add()
 /// is amortized O(1); merge() combines block partials (exact for
 /// moments, counts and survival bins; the digest merge is deterministic
-/// given a fixed merge order and, unlike the former P² pooled-CDF merge,
-/// does not accumulate bias under deep merge trees). Shared by
+/// given a fixed merge order and does not accumulate bias under deep
+/// merge trees). Shared by
 /// core::IndicatorAccumulator (TTA/TTSF) and the SAN first-passage
 /// estimator.
 class CensoredTimeAccumulator {
  public:
   /// Compression of the bundled t-digest — one digest serves every
-  /// reported quantile (q50, q90, ...), where the P² design needed one
-  /// sketch per pinned quantile.
+  /// reported quantile (q50, q90, ...).
   static constexpr double kSketchCompression = 100.0;
 
   /// Composite state of the bundled estimators, exposed for the

@@ -1,21 +1,21 @@
-// Tests for the adaptive sweep controller (PR 7): the shared stopping
-// rule (sim/stopping.h), the in-process adaptive measurement driver
-// (MeasurementEngine::measure_scenarios_adaptive), the cross-process
-// coordinator (dist::run_adaptive), and the replay contract — the
-// recorded per-cell achieved counts reproduce the adaptive results bit
-// for bit through any thread count and any shard cut.
+// Tests for the adaptive sweep: the shared stopping rule
+// (sim/stopping.h), schedule resolution, the adaptive driver
+// (dist::run_adaptive), and the replay contract — the recorded per-cell
+// achieved counts reproduce the adaptive results bit for bit through any
+// thread count and any shard cut.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/measurement.h"
 #include "dist/adaptive.h"
 #include "dist/state_codec.h"
 #include "dist/sweep.h"
+#include "obs/metrics.h"
 #include "sim/executor.h"
 #include "sim/replication.h"
 #include "sim/stopping.h"
@@ -119,10 +119,9 @@ TEST(RunSequential, AbsoluteFloorStopsNearZeroMeanExperiment) {
 // ---- schedule resolution ---------------------------------------------------
 
 TEST(AdaptiveSchedule, DefaultsAndClamping) {
-  core::AdaptiveOptions opts;
-  opts.enabled = true;
+  dist::AdaptiveSweepOptions opts;
   // Defaults: min = one superblock, max = budget, round = one superblock.
-  const auto def = core::resolve_adaptive_schedule(opts, 1000, 64);
+  const auto def = dist::resolve_adaptive_schedule(opts, 1000, 64);
   EXPECT_EQ(def.rule.min_replications, 64u);
   EXPECT_EQ(def.rule.max_replications, 1000u);
   EXPECT_EQ(def.first_superblocks, 1u);
@@ -132,7 +131,7 @@ TEST(AdaptiveSchedule, DefaultsAndClamping) {
   opts.min_replications = 200;   // ceil(200/64) = 4 superblocks
   opts.max_replications = 5000;  // above budget -> clamped
   opts.round_replications = 100;
-  const auto expl = core::resolve_adaptive_schedule(opts, 1000, 64);
+  const auto expl = dist::resolve_adaptive_schedule(opts, 1000, 64);
   EXPECT_EQ(expl.rule.min_replications, 200u);
   EXPECT_EQ(expl.rule.max_replications, 1000u);
   EXPECT_EQ(expl.first_superblocks, 4u);
@@ -140,12 +139,12 @@ TEST(AdaptiveSchedule, DefaultsAndClamping) {
 
   // min above the budget collapses to the budget (max stays >= min).
   opts.min_replications = 4000;
-  const auto clamped = core::resolve_adaptive_schedule(opts, 1000, 64);
+  const auto clamped = dist::resolve_adaptive_schedule(opts, 1000, 64);
   EXPECT_EQ(clamped.rule.min_replications, 1000u);
   EXPECT_GE(clamped.rule.max_replications, clamped.rule.min_replications);
 }
 
-// ---- the in-process adaptive engine ----------------------------------------
+// ---- the adaptive driver --------------------------------------------------
 
 /// Small but multi-superblock sweep (plant_small, 3 policy arms).
 dist::SweepSpec small_spec() {
@@ -171,136 +170,69 @@ void expect_bit_identical(const core::IndicatorSummary& a,
   EXPECT_EQ(a.ttsf_event.q90, b.ttsf_event.q90);
 }
 
-std::vector<core::IndicatorSummary> engine_adaptive(
-    const dist::SweepSpec& spec, const core::AdaptiveOptions& adaptive,
-    const sim::Executor* executor, core::AdaptiveReport* report = nullptr) {
-  const divers::VariantCatalog catalog =
-      divers::VariantCatalog::standard(spec.seed);
-  const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
-  core::MeasurementOptions options = dist::sweep_options(spec, executor);
-  options.adaptive = adaptive;
-  const core::MeasurementEngine engine(catalog, profile, options);
-  return engine.measure_scenarios_adaptive(dist::expand_plan(spec, catalog),
-                                           report);
-}
-
-TEST(EngineAdaptive, LooseTargetStopsEveryCellAtMin) {
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = 0.0;
-  adaptive.absolute_precision = 1e6;  // any half-width passes
-  core::AdaptiveReport report;
-  const auto summaries =
-      engine_adaptive(small_spec(), adaptive, nullptr, &report);
-  ASSERT_EQ(summaries.size(), 3u);
-  EXPECT_EQ(report.total_rounds, 1u);
-  for (std::size_t c = 0; c < summaries.size(); ++c) {
-    EXPECT_EQ(report.achieved[c], 32u);  // min = one superblock
-    EXPECT_EQ(report.rounds[c], 1u);
-    EXPECT_EQ(summaries[c].replications, 32u);
-  }
-  EXPECT_EQ(report.total_replications, 96u);
-}
-
-TEST(EngineAdaptive, UnreachableTargetCapsAtBudgetAndMatchesFixedRun) {
-  const dist::SweepSpec spec = small_spec();
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = 1e-12;  // unreachable
-  core::AdaptiveReport report;
-  const auto adaptive_sums = engine_adaptive(spec, adaptive, nullptr, &report);
-  for (std::size_t c = 0; c < adaptive_sums.size(); ++c)
-    EXPECT_EQ(report.achieved[c], spec.replications);
-
-  // Exhausting the budget must land exactly on the fixed-budget result —
-  // the adaptive fold visits the identical superblocks in the identical
-  // order.
-  const auto fixed_sums = dist::run_in_process(spec);
-  ASSERT_EQ(adaptive_sums.size(), fixed_sums.size());
-  for (std::size_t c = 0; c < fixed_sums.size(); ++c)
-    expect_bit_identical(adaptive_sums[c], fixed_sums[c]);
-}
-
-TEST(EngineAdaptive, ResultIndependentOfThreadCount) {
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = 0.10;
-  adaptive.absolute_precision = 0.02;
-  std::vector<core::IndicatorSummary> reference;
-  core::AdaptiveReport ref_report;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{8}}) {
-    const sim::Executor executor(threads);
-    core::AdaptiveReport report;
-    const auto summaries =
-        engine_adaptive(small_spec(), adaptive, &executor, &report);
-    if (reference.empty()) {
-      reference = summaries;
-      ref_report = report;
-      continue;
-    }
-    ASSERT_EQ(summaries.size(), reference.size());
-    EXPECT_EQ(report.achieved, ref_report.achieved);
-    EXPECT_EQ(report.rounds, ref_report.rounds);
-    EXPECT_EQ(report.total_rounds, ref_report.total_rounds);
-    for (std::size_t c = 0; c < reference.size(); ++c)
-      expect_bit_identical(summaries[c], reference[c]);
-  }
-}
-
-TEST(EngineAdaptive, MeasureScenariosDelegatesWhenEnabled) {
-  const dist::SweepSpec spec = small_spec();
-  const divers::VariantCatalog catalog =
-      divers::VariantCatalog::standard(spec.seed);
-  const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
-  core::MeasurementOptions options = dist::sweep_options(spec, nullptr);
-  options.adaptive.enabled = true;
-  options.adaptive.absolute_precision = 1e6;
-  const core::MeasurementEngine engine(catalog, profile, options);
-  const auto plan = dist::expand_plan(spec, catalog);
-  const auto via_measure = engine.measure_scenarios(plan);
-  const auto direct = engine.measure_scenarios_adaptive(plan);
-  ASSERT_EQ(via_measure.size(), direct.size());
-  for (std::size_t c = 0; c < direct.size(); ++c)
-    expect_bit_identical(via_measure[c], direct[c]);
-}
-
-TEST(EngineAdaptive, RejectsInvalidOptions) {
-  const dist::SweepSpec spec = small_spec();
-  const divers::VariantCatalog catalog =
-      divers::VariantCatalog::standard(spec.seed);
-  const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
-  const auto plan = dist::expand_plan(spec, catalog);
-
-  // Both precision criteria disabled: no cell could ever converge.
-  core::MeasurementOptions no_target = dist::sweep_options(spec, nullptr);
-  no_target.adaptive.enabled = true;
-  no_target.adaptive.relative_precision = 0.0;
-  no_target.adaptive.absolute_precision = 0.0;
-  EXPECT_THROW(
-      (void)core::MeasurementEngine(catalog, profile, no_target)
-          .measure_scenarios_adaptive(plan),
-      std::invalid_argument);
-
-  // The adaptive driver is streaming-only.
-  core::MeasurementOptions buffered = dist::sweep_options(spec, nullptr);
-  buffered.adaptive.enabled = true;
-  buffered.adaptive.relative_precision = 0.05;
-  buffered.keep_samples = true;
-  EXPECT_THROW(
-      (void)core::MeasurementEngine(catalog, profile, buffered)
-          .measure_scenarios_adaptive(plan),
-      std::invalid_argument);
-}
-
-// ---- the cross-process coordinator -----------------------------------------
-
 dist::AdaptiveSweepOptions coordinator_options(std::size_t shards) {
   dist::AdaptiveSweepOptions options;
   options.shards = shards;
   options.relative_precision = 0.10;
   options.absolute_precision = 0.02;
   return options;
+}
+
+TEST(RunAdaptive, LooseTargetStopsEveryCellAtMin) {
+  dist::AdaptiveSweepOptions options = coordinator_options(2);
+  options.relative_precision = 0.0;
+  options.absolute_precision = 1e6;  // any half-width passes
+  const dist::AdaptiveResult result = dist::run_adaptive(small_spec(), options);
+  ASSERT_EQ(result.summaries.size(), 3u);
+  EXPECT_EQ(result.rounds.size(), 1u);
+  for (std::size_t c = 0; c < result.summaries.size(); ++c) {
+    EXPECT_EQ(result.meta.achieved[c], 32u);  // min = one superblock
+    EXPECT_EQ(result.cell_rounds[c], 1u);
+    EXPECT_EQ(result.summaries[c].replications, 32u);
+  }
+  EXPECT_EQ(result.total_replications, 96u);
+}
+
+TEST(RunAdaptive, UnreachableTargetCapsAtBudgetAndMatchesFixedRun) {
+  const dist::SweepSpec spec = small_spec();
+  dist::AdaptiveSweepOptions options = coordinator_options(3);
+  options.relative_precision = 1e-12;  // unreachable
+  options.absolute_precision = 0.0;
+  const dist::AdaptiveResult result = dist::run_adaptive(spec, options);
+  for (std::size_t c = 0; c < result.summaries.size(); ++c)
+    EXPECT_EQ(result.meta.achieved[c], spec.replications);
+
+  // Exhausting the budget must land exactly on the fixed-budget result —
+  // the adaptive fold visits the identical superblocks in the identical
+  // order.
+  const auto fixed_sums = dist::run_in_process(spec);
+  ASSERT_EQ(result.summaries.size(), fixed_sums.size());
+  for (std::size_t c = 0; c < fixed_sums.size(); ++c)
+    expect_bit_identical(result.summaries[c], fixed_sums[c]);
+  EXPECT_EQ(dist::sweep_csv(result.meta, result.summaries),
+            dist::sweep_csv(dist::make_meta(spec), fixed_sums));
+}
+
+TEST(RunAdaptive, ResultIndependentOfThreadCount) {
+  std::optional<dist::AdaptiveResult> reference;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{8}}) {
+    const sim::Executor executor(threads);
+    dist::AdaptiveResult result =
+        dist::run_adaptive(small_spec(), coordinator_options(2), &executor);
+    if (!reference) {
+      reference = std::move(result);
+      continue;
+    }
+    ASSERT_EQ(result.summaries.size(), reference->summaries.size());
+    EXPECT_EQ(result.meta.achieved, reference->meta.achieved);
+    EXPECT_EQ(result.cell_rounds, reference->cell_rounds);
+    EXPECT_EQ(result.rounds.size(), reference->rounds.size());
+    for (std::size_t c = 0; c < reference->summaries.size(); ++c)
+      expect_bit_identical(result.summaries[c], reference->summaries[c]);
+    EXPECT_EQ(dist::sweep_csv(result.meta, result.summaries),
+              dist::sweep_csv(reference->meta, reference->summaries));
+  }
 }
 
 TEST(RunAdaptive, ShardCountDoesNotChangeResults) {
@@ -320,22 +252,20 @@ TEST(RunAdaptive, ShardCountDoesNotChangeResults) {
             dist::sweep_csv(three.meta, three.summaries));
 }
 
-TEST(RunAdaptive, MatchesTheInProcessAdaptiveEngine) {
-  const dist::SweepSpec spec = small_spec();
-  const dist::AdaptiveResult coordinated =
-      dist::run_adaptive(spec, coordinator_options(2));
-
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = 0.10;
-  adaptive.absolute_precision = 0.02;
-  core::AdaptiveReport report;
-  const auto engine_sums = engine_adaptive(spec, adaptive, nullptr, &report);
-
-  ASSERT_EQ(engine_sums.size(), coordinated.summaries.size());
-  EXPECT_EQ(report.achieved, coordinated.meta.achieved);
-  for (std::size_t c = 0; c < engine_sums.size(); ++c)
-    expect_bit_identical(engine_sums[c], coordinated.summaries[c]);
+TEST(RunAdaptive, OneReachabilityBuildPerRound) {
+  // Each round is one measure call over the union of its tasks, and the
+  // three policy arms share one topology, so each round builds exactly
+  // one ReachabilityIndex however many shards its partials are dealt to.
+  obs::Counter& reach_builds = obs::counter("core.context.reach_builds");
+  const std::uint64_t before = reach_builds.total();
+  const dist::AdaptiveResult result =
+      dist::run_adaptive(small_spec(), coordinator_options(3));
+  ASSERT_GT(result.rounds.size(), 1u) << "spec too loose: one round only";
+#if DIVSEC_OBS
+  EXPECT_EQ(reach_builds.total() - before, result.rounds.size());
+#else
+  (void)before;
+#endif
 }
 
 TEST(RunAdaptive, RecordsProvenance) {
@@ -357,6 +287,10 @@ TEST(RunAdaptive, RecordsProvenance) {
 }
 
 TEST(RunAdaptive, RejectsInvalidInputs) {
+  // Every rejection happens up front: no replication runs.
+  obs::Counter& events = obs::counter("campaign.events.executed");
+  const std::uint64_t before = events.total();
+
   dist::SweepSpec replay_input = small_spec();
   replay_input.achieved = {32, 32, 32};
   EXPECT_THROW((void)dist::run_adaptive(replay_input, coordinator_options(1)),
@@ -366,11 +300,27 @@ TEST(RunAdaptive, RejectsInvalidInputs) {
   EXPECT_THROW((void)dist::run_adaptive(small_spec(), no_shards),
                std::invalid_argument);
 
+  // Both precision criteria disabled: no cell could ever converge.
   dist::AdaptiveSweepOptions no_target = coordinator_options(1);
   no_target.relative_precision = 0.0;
   no_target.absolute_precision = 0.0;
   EXPECT_THROW((void)dist::run_adaptive(small_spec(), no_target),
                std::invalid_argument);
+
+  for (const double level : {1.5, 0.0, 1.0, -0.5, std::nan("")}) {
+    dist::AdaptiveSweepOptions bad_level = coordinator_options(1);
+    bad_level.confidence_level = level;
+    EXPECT_THROW((void)dist::run_adaptive(small_spec(), bad_level),
+                 std::invalid_argument)
+        << "confidence_level " << level;
+  }
+  EXPECT_EQ(events.total() - before, 0u);
+
+#if DIVSEC_OBS
+  // The counter is live: a valid run does execute events.
+  (void)dist::run_adaptive(small_spec(), coordinator_options(1));
+  EXPECT_GT(events.total() - before, 0u);
+#endif
 }
 
 // ---- the replay contract ---------------------------------------------------

@@ -1,6 +1,6 @@
-// Tests for the streaming aggregation stats: the P² quantile estimator
-// (stats/p2_quantile.h), the binned product-limit StreamingSurvival and
-// the CensoredTimeAccumulator (stats/survival.h). These are the building
+// Tests for the streaming aggregation stats: the binned product-limit
+// StreamingSurvival and the CensoredTimeAccumulator (stats/survival.h;
+// the t-digest inside it has its own tests). These are the building
 // blocks of the measurement engine's streaming backend, so the properties
 // under test are the backend's contracts: accuracy against the exact
 // retained-sample estimators, exact merges for the binned state, and
@@ -12,7 +12,6 @@
 
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
-#include "stats/p2_quantile.h"
 #include "stats/rng.h"
 #include "stats/survival.h"
 
@@ -27,75 +26,6 @@ std::vector<double> exponential_sample(std::size_t n, double lambda,
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) out.push_back(d.sample(rng));
   return out;
-}
-
-TEST(P2Quantile, ExactForFewObservations) {
-  P2Quantile q(0.5);
-  EXPECT_EQ(q.value(), 0.0);
-  q.add(3.0);
-  EXPECT_DOUBLE_EQ(q.value(), 3.0);
-  q.add(1.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);  // type-7 median of {1,3}
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
-  EXPECT_EQ(q.count(), 3u);
-}
-
-TEST(P2Quantile, TracksStreamQuantiles) {
-  const auto data = exponential_sample(50000, 1.0, 11);
-  P2Quantile q50(0.5), q90(0.9);
-  for (double x : data) {
-    q50.add(x);
-    q90.add(x);
-  }
-  // True quantiles of Exp(1): ln 2 and ln 10.
-  EXPECT_NEAR(q50.value(), std::log(2.0), 0.05);
-  EXPECT_NEAR(q90.value(), std::log(10.0), 0.15);
-  // Cross-check against the exact retained-sample quantile.
-  EXPECT_NEAR(q50.value(), quantile(data, 0.5), 0.05);
-  EXPECT_NEAR(q90.value(), quantile(data, 0.9), 0.15);
-}
-
-TEST(P2Quantile, BlockedMergeApproximatesSingleStream) {
-  // The backend's usage pattern: fold fixed-size blocks, merge ascending.
-  const auto data = exponential_sample(40000, 0.5, 23);
-  constexpr std::size_t kBlock = 256;
-  P2Quantile merged(0.5);
-  for (std::size_t lo = 0; lo < data.size(); lo += kBlock) {
-    P2Quantile part(0.5);
-    for (std::size_t i = lo; i < std::min(data.size(), lo + kBlock); ++i)
-      part.add(data[i]);
-    merged.merge(part);
-  }
-  EXPECT_EQ(merged.count(), data.size());
-  EXPECT_NEAR(merged.value(), quantile(data, 0.5), 0.1);
-
-  // Determinism: replaying the identical merge sequence reproduces the
-  // estimate bit for bit.
-  P2Quantile replay(0.5);
-  for (std::size_t lo = 0; lo < data.size(); lo += kBlock) {
-    P2Quantile part(0.5);
-    for (std::size_t i = lo; i < std::min(data.size(), lo + kBlock); ++i)
-      part.add(data[i]);
-    replay.merge(part);
-  }
-  EXPECT_EQ(replay.value(), merged.value());
-}
-
-TEST(P2Quantile, MergeHandlesSmallSides) {
-  P2Quantile a(0.5), b(0.5);
-  for (double x : {1.0, 2.0, 3.0}) a.add(x);  // still raw
-  for (double x : {4.0, 5.0, 6.0, 7.0, 8.0, 9.0}) b.add(x);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 9u);
-  EXPECT_NEAR(a.value(), 5.0, 1.0);
-  P2Quantile mismatched(0.9);
-  EXPECT_THROW(a.merge(mismatched), std::invalid_argument);
-}
-
-TEST(P2Quantile, Validation) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
 }
 
 TEST(StreamingSurvival, MatchesKaplanMeierWithinBinWidth) {

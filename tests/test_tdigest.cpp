@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/ratio_curve.h"
-#include "stats/quantile_sketch.h"
 #include "stats/rng.h"
 #include "stats/tdigest.h"
 
@@ -168,12 +167,6 @@ TEST(TDigest, Validation) {
   bad.compression = 2.0;
   EXPECT_THROW((void)TDigest::from_state(bad), std::invalid_argument);
 }
-
-// Both sketches satisfy the QuantileSketch surface; the concept is
-// enforced at compile time in quantile_sketch.h, this just pins that the
-// header stays included somewhere.
-static_assert(QuantileSketch<TDigest>);
-static_assert(QuantileSketch<P2Quantile>);
 
 }  // namespace
 }  // namespace divsec::stats

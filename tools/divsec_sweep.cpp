@@ -27,11 +27,11 @@
 //           bit-identical to the in-process `run` on the same spec —
 //           for any shard count, including 1, and for any exact-coverage
 //           assignment of tasks to shards.
-//   adapt   variance-driven coordinator (dist/adaptive.h): multi-round
-//           loop that re-deals only the unconverged cells' next
-//           superblocks each round (LPT over the cost measured so far)
-//           and retires a cell once its CI half-width passes the
-//           stopping rule. Writes the merged artifacts plus
+//   adapt   variance-driven driver (dist/adaptive.h): multi-round loop
+//           that measures only the unconverged cells' next superblocks
+//           each round, deals their partials to K shards (LPT over the
+//           cost measured so far) through the state codec, and retires a
+//           cell once its CI half-width passes the stopping rule. Writes the merged artifacts plus
 //           <out>_adaptive.state, whose per-cell achieved counts are the
 //           reproducibility contract.
 //           With --replay STATE, `run` re-executes exactly the recorded
@@ -150,10 +150,12 @@ void usage(std::FILE* to) {
       "divsec_sweep adapt [sweep options] [--shards K] [--threads T]\n"
       "                   [--out PREFIX]\n"
       "  variance-driven sweep: rounds of one superblock per unconverged\n"
-      "  cell, dealt to K in-process shards by LPT over measured cost,\n"
-      "  until every cell's CI half-width meets the stopping rule or hits\n"
-      "  the --replications budget. Writes <PREFIX>_measurements.csv,\n"
-      "  <PREFIX>_summary.json and <PREFIX>_adaptive.state\n"
+      "  cell, measured as one queue and dealt to K in-process shards by\n"
+      "  LPT over measured cost (each shard's state round-trips the state\n"
+      "  codec), until every cell's CI half-width meets the stopping rule\n"
+      "  or hits the --replications budget. Writes\n"
+      "  <PREFIX>_measurements.csv, <PREFIX>_summary.json and\n"
+      "  <PREFIX>_adaptive.state\n"
       "  --shards K           coordinator shards per round (default 1)\n"
       "  --precision R        relative CI half-width target (default 0.05;\n"
       "                       0 disables the relative criterion)\n"
@@ -690,6 +692,11 @@ int cmd_adapt(int argc, char** argv) {
     else die_unknown(flag);
   }
   if (options.shards == 0) die("adapt wants --shards K >= 1");
+  if (!(options.confidence_level > 0.0 && options.confidence_level < 1.0))
+    die("adapt wants --confidence C in (0, 1)");
+  if (!(options.relative_precision > 0.0) &&
+      !(options.absolute_precision > 0.0))
+    die("adapt wants --precision R > 0 or --abs-floor A > 0");
   resolve_spec(spec);
   if (out.empty()) out = spec.preset;
 
