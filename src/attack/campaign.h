@@ -57,6 +57,8 @@ struct NodeSoftware {
   std::optional<std::size_t> plc_firmware;  // PLC nodes
   std::optional<std::size_t> hmi;           // HMI nodes
   std::optional<std::size_t> historian;     // historian nodes
+
+  bool operator==(const NodeSoftware&) const = default;
 };
 
 /// A concrete system under attack: topology + policy + deployed variants.
@@ -69,6 +71,8 @@ struct Scenario {
   std::vector<net::NodeId> target_plcs;  // sabotage targets
 
   void validate(const divers::VariantCatalog& catalog) const;
+
+  bool operator==(const Scenario&) const = default;
 };
 
 enum class NodeState : std::uint8_t { kClean, kDelivered, kActivated, kRoot };

@@ -108,10 +108,22 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
 
 }  // namespace
 
+/// The cells of one measure call: a configuration plan (instantiated
+/// through the description) or explicit scenarios — exactly one span is
+/// in use.
+struct MeasurementEngine::PlanCells {
+  std::span<const MeasurementCell> config;
+  std::span<const ScenarioCell> scenario;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return config.empty() ? scenario.size() : config.size();
+  }
+};
+
 /// The one place cell contexts come from — every entry point (measure,
-/// measure_scenarios, measure_scenario_tasks) goes through this factory,
-/// which run_tasks drives lazily, one cell at a time, as the work queue
-/// first reaches each cell.
+/// measure_scenarios, measure_scenario_tasks) goes through the engine's
+/// factory, which run_tasks drives lazily, one cell at a time, as the
+/// work queue first reaches each cell. It lives as long as the engine.
 ///
 /// Campaign contexts from structurally identical topologies share one
 /// net::ReachabilityIndex: the cache is keyed on the FULL structural
@@ -119,56 +131,49 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
 /// hits — a hash collision can cost a lookup, never alias an index).
 /// Concurrent builders of the same key deduplicate through a
 /// shared_future, so a fleet of same-topology cells pays the all-pairs
-/// sweep exactly once. Construction consumes no randomness, so sharing
-/// and laziness leave results bit-identical.
+/// sweep exactly once.
 ///
-/// Thread-safe; one instance per measurement call (the cache — and the
-/// indexes it pins — lives exactly that long).
+/// Carried contexts: a call that stops short of a cell's final
+/// superblock hands that cell's context back (at most
+/// kCarriedContextsPerThread × threads of them), and the next call that
+/// lists the cell again reuses it when its scenario compares equal in
+/// full; the reach cache keeps its indexes only while a context is
+/// carried. So dist::run_adaptive, whose rounds are successive calls on
+/// one engine, builds each cell's context and each index once per run.
+/// Construction consumes no randomness, so sharing, laziness and
+/// carrying leave results bit-identical.
+///
+/// Thread-safe.
 class MeasurementEngine::ContextFactory {
  public:
-  /// Configuration-plan cells (instantiated through the description).
-  ContextFactory(const SystemDescription& description,
+  ContextFactory(const SystemDescription* description,
+                 const divers::VariantCatalog& catalog,
                  const attack::ThreatProfile& profile,
-                 const MeasurementOptions& options,
-                 std::span<const MeasurementCell> cells)
-      : description_(&description),
-        catalog_(&description.catalog()),
+                 const MeasurementOptions& options)
+      : description_(description),
+        catalog_(&catalog),
         profile_(&profile),
-        options_(&options),
-        config_cells_(cells) {}
-
-  /// Explicit-scenario cells (campaign engine; callers validate).
-  ContextFactory(const divers::VariantCatalog& catalog,
-                 const attack::ThreatProfile& profile,
-                 const MeasurementOptions& options,
-                 std::span<const ScenarioCell> cells)
-      : catalog_(&catalog),
-        profile_(&profile),
-        options_(&options),
-        scenario_cells_(cells) {}
-
-  [[nodiscard]] std::size_t cell_count() const noexcept {
-    return description_ ? config_cells_.size() : scenario_cells_.size();
-  }
+        options_(options) {}
 
   /// Build cell c's context. Thread-safe (run_tasks builds each context
   /// on whichever worker first claims one of the cell's blocks).
-  [[nodiscard]] std::unique_ptr<CellContext> build(std::size_t c) {
+  [[nodiscard]] std::unique_ptr<CellContext> build(const PlanCells& cells,
+                                                   std::size_t c) {
     auto ctx = std::make_unique<CellContext>();
-    if (options_->engine == Engine::kStagedSan) {
+    if (options_.engine == Engine::kStagedSan) {
       auto& staged = ctx->san.emplace();
       staged.asan = attack::build_attack_san(
-          derive_staged_model(*description_, config_cells_[c].configuration,
-                              *profile_, options_->detection));
+          derive_staged_model(*description_, cells.config[c].configuration,
+                              *profile_, options_.detection));
       staged.terminal = staged.asan.terminal_predicate();
     } else {
-      attack::Scenario sc = description_
+      attack::Scenario sc = cells.scenario.empty()
                                 ? description_->instantiate(
-                                      config_cells_[c].configuration)
-                                : scenario_cells_[c].scenario;
+                                      cells.config[c].configuration)
+                                : cells.scenario[c].scenario;
       auto reach = shared_reach(sc.topology, sc.firewall);
       ctx->campaign.emplace(std::move(sc), *profile_, *catalog_,
-                            options_->detection, options_->campaign,
+                            options_.detection, options_.campaign,
                             std::move(reach));
     }
     {
@@ -186,6 +191,44 @@ class MeasurementEngine::ContextFactory {
   void note_dropped() {
     const std::lock_guard<std::mutex> lock(mu_);
     --live_;
+  }
+
+  /// Start of a call: move the carried context of every listed cell whose
+  /// scenario still compares equal into `slots`, drop the rest, and
+  /// return how many were moved.
+  std::size_t take_carried(const PlanCells& cells,
+                           std::span<const char> listed,
+                           std::vector<std::unique_ptr<CellContext>>& slots) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::size_t taken = 0;
+    for (auto& [c, ctx] : carried_) {
+      if (c < cells.size() && listed[c] && !slots[c] &&
+          !cells.scenario.empty() &&
+          ctx->campaign->scenario() == cells.scenario[c].scenario) {
+        slots[c] = std::move(ctx);
+        ++taken;
+      } else {
+        --live_;
+      }
+    }
+    carried_.clear();
+    return taken;
+  }
+
+  /// End of a call: carry the contexts left in `slots` (or drop them when
+  /// `keep` is false, after a failed call). Without a carried context the
+  /// reach cache releases its indexes, as a one-call cache would.
+  void settle(std::vector<std::unique_ptr<CellContext>>& slots, bool keep) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t c = 0; c < slots.size(); ++c) {
+      if (!slots[c]) continue;
+      if (keep)
+        carried_.emplace_back(c, std::move(slots[c]));
+      else
+        --live_;
+      slots[c].reset();
+    }
+    if (carried_.empty()) reach_cache_.clear();
   }
 
  private:
@@ -226,12 +269,10 @@ class MeasurementEngine::ContextFactory {
     return future.get();
   }
 
-  const SystemDescription* description_ = nullptr;
+  const SystemDescription* description_;  // null for scenario-sweep engines
   const divers::VariantCatalog* catalog_;
   const attack::ThreatProfile* profile_;
-  const MeasurementOptions* options_;
-  std::span<const MeasurementCell> config_cells_;
-  std::span<const ScenarioCell> scenario_cells_;
+  const MeasurementOptions options_;
 
   struct Entry {
     net::ReachabilityIndex::StructuralKey key;
@@ -239,6 +280,7 @@ class MeasurementEngine::ContextFactory {
   };
   std::mutex mu_;
   std::unordered_map<std::uint64_t, std::vector<Entry>> reach_cache_;
+  std::vector<std::pair<std::size_t, std::unique_ptr<CellContext>>> carried_;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
 };
@@ -265,7 +307,9 @@ MeasurementEngine::MeasurementEngine(const SystemDescription& description,
       catalog_(&description.catalog()),
       profile_(&profile),
       options_(options),
-      executor_(options.executor ? options.executor : &sim::Executor::shared()) {
+      executor_(options.executor ? options.executor : &sim::Executor::shared()),
+      contexts_(std::make_unique<ContextFactory>(&description, *catalog_,
+                                                 profile, options_)) {
   validate_options(options_);
 }
 
@@ -276,9 +320,13 @@ MeasurementEngine::MeasurementEngine(const divers::VariantCatalog& catalog,
       catalog_(&catalog),
       profile_(&profile),
       options_(options),
-      executor_(options.executor ? options.executor : &sim::Executor::shared()) {
+      executor_(options.executor ? options.executor : &sim::Executor::shared()),
+      contexts_(std::make_unique<ContextFactory>(nullptr, catalog, profile,
+                                                 options_)) {
   validate_options(options_);
 }
+
+MeasurementEngine::~MeasurementEngine() = default;
 
 sim::ShardPlan MeasurementEngine::shard_plan(std::size_t cells) const {
   return sim::ShardPlan::make(cells, options_.replications,
@@ -286,34 +334,47 @@ sim::ShardPlan MeasurementEngine::shard_plan(std::size_t cells) const {
 }
 
 std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
-    ContextFactory& factory, std::span<const std::uint64_t> seeds,
+    const PlanCells& cells, std::span<const std::uint64_t> seeds,
     const sim::ShardPlan& shard, std::span<const std::uint64_t> tasks,
     std::vector<IndicatorSample>* samples,
     std::vector<double>* task_seconds) const {
   const obs::Span span("measure.tasks");
   const double horizon = options_.campaign.t_max_hours;
   const std::size_t reps = options_.replications;
-  const std::size_t cells = factory.cell_count();
+  ContextFactory& factory = *contexts_;
 
   // Cell contexts are built on the first claim of any of the cell's
-  // blocks and dropped when the last of its tasks in the list completes.
-  // Claims run in ascending (task, block) order and the list is ascending,
-  // so only the cells under in-flight blocks hold a context: O(threads)
-  // live, not one per cell (reachability indexes are shared per topology
-  // through the factory and live for the whole call).
-  std::vector<std::unique_ptr<CellContext>> slots(cells);
-  const std::unique_ptr<std::once_flag[]> built(new std::once_flag[cells]);
-  std::vector<std::atomic<std::size_t>> pending(cells);  // tasks left per cell
+  // blocks (or carried in from the previous call) and released when the
+  // last of its tasks in the list completes. Claims run in ascending
+  // (task, block) order and the list is ascending, so only the cells
+  // under in-flight blocks hold a context: O(threads) live, not one per
+  // cell. A released cell whose last listed task is not its final
+  // superblock is kept for the next call while fewer than the carry cap
+  // are kept (carried-in contexts count until released), so at most
+  // cap + O(threads) contexts are ever live.
+  const std::size_t ncells = cells.size();
+  std::vector<std::unique_ptr<CellContext>> slots(ncells);
+  const std::unique_ptr<std::once_flag[]> built(new std::once_flag[ncells]);
+  std::vector<std::atomic<std::size_t>> pending(ncells);  // tasks left per cell
+  std::vector<char> listed(ncells, 0);
+  std::vector<char> carry(ncells, 0);  // last listed task is not final
   std::uint64_t total_reps = 0;
   for (const std::uint64_t t : tasks) {
     const sim::ShardPlan::Task task = shard.task(t);
     pending[task.group].fetch_add(1, std::memory_order_relaxed);
+    listed[task.group] = 1;
+    carry[task.group] = !cells.scenario.empty() && task.end < shard.count();
     total_reps += task.end - task.begin;
   }
+  const std::size_t carry_cap =
+      kCarriedContextsPerThread * executor_->thread_count();
+  std::vector<char> carried_in(ncells, 0);
+  std::size_t kept = factory.take_carried(cells, listed, slots);
+  for (std::size_t c = 0; c < ncells; ++c) carried_in[c] = slots[c] != nullptr;
 
   // Heartbeat over replications actually folded (throttled; silent for
   // short calls). Stderr only — never a byte of output data.
-  std::mutex heartbeat_mu;
+  std::mutex done_mu;  // guards kept, done_reps and the heartbeat
   obs::Heartbeat heartbeat("measure", total_reps);
   std::uint64_t done_reps = 0;
 
@@ -323,49 +384,67 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
   // block order, so a task's partial depends only on (cell, superblock,
   // RNG contract) — not on the thread count, the claim order, or which
   // process runs it. Blocks past a cell's replication count bound-check
-  // to no-ops (uniform task_span keeps the item space rectangular).
-  const auto fold = [&](IndicatorAccumulator& a, std::size_t g,
-                        std::size_t i) {
+  // to empty samples (uniform task_span keeps the item space rectangular).
+  const auto sample = [&](std::size_t g,
+                          std::size_t i) -> std::optional<IndicatorSample> {
     const sim::ShardPlan::Task task = shard.task(tasks[g]);
     const std::size_t rep = task.begin + i;
-    if (rep >= task.end) return;
+    if (rep >= task.end) return std::nullopt;
     std::call_once(built[task.group], [&] {
+      if (slots[task.group]) return;
       const obs::Span build_span("context.build");
-      slots[task.group] = factory.build(task.group);
+      slots[task.group] = factory.build(cells, task.group);
     });
-    const IndicatorSample s =
+    IndicatorSample s =
         run_job(*slots[task.group], horizon, options_.survival_bins,
                 stats::Rng(seeds[task.group], rep));
     if (samples) (*samples)[task.group * reps + rep] = s;
-    a.add(s);
+    return s;
+  };
+  const auto add = [](IndicatorAccumulator& a,
+                      std::optional<IndicatorSample>&& s) {
+    if (s) a.add(*s);
   };
   const auto done = [&](std::size_t g, double seconds) {
     if (task_seconds) (*task_seconds)[g] = seconds;
     const sim::ShardPlan::Task task = shard.task(tasks[g]);
-    if (pending[task.group].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        slots[task.group]) {
-      slots[task.group].reset();
-      factory.note_dropped();
+    const std::size_t c = task.group;
+    const bool last =
+        pending[c].fetch_sub(1, std::memory_order_acq_rel) == 1;
+    const std::lock_guard<std::mutex> lock(done_mu);
+    if (last && slots[c]) {
+      if (carried_in[c]) --kept;
+      if (carry[c] && kept < carry_cap) {
+        ++kept;
+      } else {
+        slots[c].reset();
+        factory.note_dropped();
+      }
     }
-    const std::lock_guard<std::mutex> lock(heartbeat_mu);
     done_reps += task.end - task.begin;
     heartbeat.tick(done_reps);
   };
-  std::vector<IndicatorAccumulator> out =
-      sim::reduce_groups<IndicatorAccumulator>(
-          *executor_, tasks.size(), shard.task_span(), shard.block(),
-          [&](std::size_t) {
-            return IndicatorAccumulator(horizon, options_.survival_bins);
-          },
-          fold, done);
+  std::vector<IndicatorAccumulator> out;
+  try {
+    out = sim::reduce_groups<IndicatorAccumulator>(
+        *executor_, tasks.size(), shard.task_span(), shard.block(),
+        [&](std::size_t) {
+          return IndicatorAccumulator(horizon, options_.survival_bins);
+        },
+        sample, add, done);
+  } catch (...) {
+    factory.settle(slots, /*keep=*/false);
+    throw;
+  }
+  factory.settle(slots, /*keep=*/true);
   heartbeat.finish(done_reps);
   return out;
 }
 
 std::vector<IndicatorSummary> MeasurementEngine::run_cells(
-    ContextFactory& factory, std::span<const std::uint64_t> seeds,
+    const PlanCells& plan_cells, std::span<const std::uint64_t> seeds,
     const CellVisitor& visit) const {
-  const std::size_t cells = factory.cell_count();
+  const std::size_t cells = plan_cells.size();
   const std::size_t reps = options_.replications;
   const double horizon = options_.campaign.t_max_hours;
   const auto make = [&](std::size_t) {
@@ -387,8 +466,8 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
   std::vector<std::uint64_t> all_tasks(plan.task_count());
   for (std::size_t t = 0; t < all_tasks.size(); ++t) all_tasks[t] = t;
   std::vector<IndicatorAccumulator> partials =
-      run_tasks(factory, seeds, plan, all_tasks, retain ? &samples : nullptr,
-                /*task_seconds=*/nullptr);
+      run_tasks(plan_cells, seeds, plan, all_tasks,
+                retain ? &samples : nullptr, /*task_seconds=*/nullptr);
   std::vector<IndicatorAccumulator> acc =
       sim::reduce_task_partials(plan, std::move(partials), make);
 
@@ -413,11 +492,9 @@ std::vector<IndicatorSummary> MeasurementEngine::measure(
         "MeasurementEngine::measure: engine was built without a "
         "SystemDescription (scenario-sweep-only)");
   const std::size_t cells = plan.cell_count();
-  ContextFactory factory(*description_, *profile_, options_,
-                         std::span<const MeasurementCell>(plan.cells));
   std::vector<std::uint64_t> seeds(cells);
   for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
-  return run_cells(factory, seeds, visit);
+  return run_cells(PlanCells{plan.cells, {}}, seeds, visit);
 }
 
 std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios(
@@ -426,11 +503,9 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios(
     throw std::invalid_argument(
         "measure_scenarios: requires the campaign engine");
   const std::size_t cells = plan.cell_count();
-  ContextFactory factory(*catalog_, *profile_, options_,
-                         std::span<const ScenarioCell>(plan.cells));
   std::vector<std::uint64_t> seeds(cells);
   for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
-  return run_cells(factory, seeds, visit);
+  return run_cells(PlanCells{{}, plan.cells}, seeds, visit);
 }
 
 std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(
@@ -465,13 +540,11 @@ std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(
   // task list touches — a handful at a time — ever get a campaign
   // context; shard processes of a huge sweep never pay for the whole
   // fleet's scenarios or reachability indexes.
-  ContextFactory factory(*catalog_, *profile_, options_,
-                         std::span<const ScenarioCell>(plan.cells));
   std::vector<std::uint64_t> seeds(plan.cell_count());
   for (std::size_t c = 0; c < plan.cell_count(); ++c)
     seeds[c] = plan.cells[c].seed;
-  return run_tasks(factory, seeds, shard, tasks, /*samples=*/nullptr,
-                   task_seconds);
+  return run_tasks(PlanCells{{}, plan.cells}, seeds, shard, tasks,
+                   /*samples=*/nullptr, task_seconds);
 }
 
 IndicatorSummary MeasurementEngine::measure_one(const Configuration& config) const {

@@ -5,10 +5,15 @@
 // once per run (catalog, threat profile, plan, one MeasurementEngine).
 // Each round measures the still-active cells' next superblock tasks in
 // one engine call — one work queue, so every executor thread stays busy
-// however few tasks a shard would hold — then deals the round's
-// partials to K shards by LPT over the cost model measured so far
-// (round 1 is uniform) and pushes each shard's state through the state
-// codec. The coordinator folds exactly the decoded bytes an OS process
+// however few tasks a shard would hold; a round with fewer blocks than
+// the pool can share splits them into slices — and the engine carries
+// still-active cells' contexts (up to core::kCarriedContextsPerThread ×
+// threads of them) and the reachability indexes they share from round
+// to round, so a run pays for each index, and for each carried cell's
+// tables, once rather than once per round. The driver then deals the
+// round's partials to K shards by LPT over the cost model measured so
+// far (round 1 is uniform) and pushes each shard's state through the
+// state codec. The coordinator folds exactly the decoded bytes an OS process
 // would have flushed, so the in-process loop and a real fleet share one
 // transport and one validation path. It folds them into per-cell
 // accumulators in ascending (cell, superblock) order, applies the

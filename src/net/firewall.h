@@ -25,6 +25,8 @@ struct FirewallRule {
   std::optional<Channel> channel;
   Action action = Action::kDeny;
   std::string comment;
+
+  bool operator==(const FirewallRule&) const = default;
 };
 
 class Firewall {
@@ -53,6 +55,8 @@ class Firewall {
   ///  - control <-> field: modbus + project-file only
   ///  - everything else denied.
   [[nodiscard]] static Firewall segmented_ics();
+
+  bool operator==(const Firewall&) const = default;
 
  private:
   Action default_action_;

@@ -64,11 +64,15 @@ struct Node {
   Role role = Role::kWorkstation;
   /// Whether operators plug removable media into this node.
   bool usb_exposure = false;
+
+  bool operator==(const Node&) const = default;
 };
 
 struct Link {
   NodeId a = 0;
   NodeId b = 0;
+
+  bool operator==(const Link&) const = default;
 };
 
 /// Undirected multigraph of nodes and links. Value type; cheap to copy.
@@ -101,6 +105,12 @@ class Topology {
 
   /// All nodes in the given zone.
   [[nodiscard]] std::vector<NodeId> nodes_in_zone(Zone z) const;
+
+  /// Same nodes and links in the same order (adjacency and the name index
+  /// follow from them).
+  bool operator==(const Topology& o) const {
+    return nodes_ == o.nodes_ && links_ == o.links_;
+  }
 
  private:
   std::vector<Node> nodes_;

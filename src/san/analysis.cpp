@@ -20,12 +20,13 @@ stats::OnlineStats reduce_scalar(const sim::Experiment& experiment,
   samples.resize(replications);
   return sim::blocked_reduce<stats::OnlineStats>(
       executor, replications, /*block=*/0, [] { return stats::OnlineStats{}; },
-      [&](stats::OnlineStats& acc, std::size_t i) {
+      [&](std::size_t i) {
         stats::Rng rng(seed, /*stream=*/i);
         const double y = experiment(rng);
         samples[i] = y;
-        acc.add(y);
-      });
+        return y;
+      },
+      [](stats::OnlineStats& acc, double y) { acc.add(y); });
 }
 
 sim::Experiment instant_experiment(const SanModel& model,
@@ -106,12 +107,14 @@ FirstPassageResult first_passage(const SanModel& model, const Predicate& absorbe
       [t_max] {
         return stats::CensoredTimeAccumulator(t_max, kFirstPassageSurvivalBins);
       },
-      [&model, &absorbed, t_max, seed, &outcomes](
-          stats::CensoredTimeAccumulator& a, std::size_t i) {
+      [&model, &absorbed, t_max, seed, &outcomes](std::size_t i) {
         stats::Rng rng(seed, i);
         SanSimulator sim(model, rng);
         const auto t = sim.run_until_predicate(absorbed, t_max);
         outcomes[i] = t;
+        return t;
+      },
+      [t_max](stats::CensoredTimeAccumulator& a, std::optional<double> t) {
         a.add(t.value_or(t_max), /*censored=*/!t.has_value());
       });
   r.event_time = acc.summarize();

@@ -12,6 +12,15 @@
 // kind of digest a single stream would have produced, and the measured
 // error stays well under 1% where the P² merge drifted +4–23%.
 //
+// Accuracy contract: the ≤ 1% median error (tests/test_p2_accuracy.cpp)
+// holds for block-folded and merged digests — values added in blocks
+// (256 per block in the measurement engine) whose digests merge in
+// ascending order, the way every production caller builds them. It does
+// not hold for one long add()-only stream: 10^6 exponential and
+// censored-exponential values added to a single compression-100 digest
+// drifted 1.70% and 2.40% at the median. A new caller that feeds one
+// long stream should fold it in blocks and merge, or accept that drift.
+//
 // Determinism contract (what the distributed sweep relies on):
 //  * the centroid list is the complete state — there is no hidden
 //    unsorted buffer, so state()/from_state() round-trips exactly and

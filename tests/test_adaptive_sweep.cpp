@@ -252,19 +252,25 @@ TEST(RunAdaptive, ShardCountDoesNotChangeResults) {
             dist::sweep_csv(three.meta, three.summaries));
 }
 
-TEST(RunAdaptive, OneReachabilityBuildPerRound) {
-  // Each round is one measure call over the union of its tasks, and the
-  // three policy arms share one topology, so each round builds exactly
-  // one ReachabilityIndex however many shards its partials are dealt to.
+TEST(RunAdaptive, OneReachabilityBuildPerRun) {
+  // Every round is a measure call on the run's one engine, which carries
+  // each still-active cell's context into the next round, and the three
+  // policy arms share one topology: the whole run builds one
+  // ReachabilityIndex and one context per cell, however many rounds it
+  // takes and however many shards its partials are dealt to.
   obs::Counter& reach_builds = obs::counter("core.context.reach_builds");
-  const std::uint64_t before = reach_builds.total();
+  obs::Counter& built = obs::counter("core.context.built");
+  const std::uint64_t reach_before = reach_builds.total();
+  const std::uint64_t built_before = built.total();
   const dist::AdaptiveResult result =
       dist::run_adaptive(small_spec(), coordinator_options(3));
   ASSERT_GT(result.rounds.size(), 1u) << "spec too loose: one round only";
 #if DIVSEC_OBS
-  EXPECT_EQ(reach_builds.total() - before, result.rounds.size());
+  EXPECT_EQ(reach_builds.total() - reach_before, 1u);
+  EXPECT_EQ(built.total() - built_before, result.meta.cells);
 #else
-  (void)before;
+  (void)reach_before;
+  (void)built_before;
 #endif
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -44,18 +45,19 @@ struct OrderSensitive {
 };
 
 /// The reduction contract itself, written out serially: group g's result
-/// is make(g) merged with its block partials in ascending block order.
-template <typename Acc, typename Make, typename Fold>
+/// is make(g) merged with its block partials in ascending block order,
+/// each block's samples added in ascending index order.
+template <typename Acc, typename Make, typename Sample, typename Add>
 std::vector<Acc> serial_ascending_fold(std::size_t groups, std::size_t count,
                                        std::size_t block, const Make& make,
-                                       const Fold& fold) {
+                                       const Sample& sample, const Add& add) {
   std::vector<Acc> out;
   for (std::size_t g = 0; g < groups; ++g) {
     Acc acc = make(g);
     for (std::size_t lo = 0; lo < count; lo += block) {
       Acc partial = make(g);
       for (std::size_t i = lo; i < std::min(count, lo + block); ++i)
-        fold(partial, g, i);
+        add(partial, sample(g, i));
       acc.merge(partial);
     }
     out.push_back(acc);
@@ -63,14 +65,16 @@ std::vector<Acc> serial_ascending_fold(std::size_t groups, std::size_t count,
   return out;
 }
 
+const auto add_value = [](auto& acc, double v) { acc.fold(v); };
+
 TEST(ElasticSchedule, ReduceGroupsBitIdenticalToSerialAscendingFold) {
   const auto make = [](std::size_t g) {
     OrderSensitive acc;
     acc.x = static_cast<double>(g) * 0.25;
     return acc;
   };
-  const auto fold = [](OrderSensitive& acc, std::size_t g, std::size_t i) {
-    acc.fold(static_cast<double>(g * 7919 + i) * 1e-3);
+  const auto sample = [](std::size_t g, std::size_t i) {
+    return static_cast<double>(g * 7919 + i) * 1e-3;
   };
   // 1000 / 64 leaves a partial last block; 50 / 64 is one block per group.
   for (const std::size_t count : {std::size_t{1000}, std::size_t{50}}) {
@@ -78,7 +82,7 @@ TEST(ElasticSchedule, ReduceGroupsBitIdenticalToSerialAscendingFold) {
     for (const std::size_t groups : {0u, 1u, 3u, 13u}) {
       const std::vector<OrderSensitive> expected =
           serial_ascending_fold<OrderSensitive>(groups, count, kBlock, make,
-                                                fold);
+                                                sample, add_value);
       for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE(::testing::Message() << "count=" << count << " groups="
                                           << groups << " threads=" << threads);
@@ -87,7 +91,7 @@ TEST(ElasticSchedule, ReduceGroupsBitIdenticalToSerialAscendingFold) {
         std::vector<double> seconds(groups, -1.0);
         const std::vector<OrderSensitive> got =
             sim::reduce_groups<OrderSensitive>(
-                ex, groups, count, kBlock, make, fold,
+                ex, groups, count, kBlock, make, sample, add_value,
                 [&](std::size_t g, double s) {
                   ++completions[g];
                   seconds[g] = s;
@@ -135,25 +139,192 @@ TEST(ElasticSchedule, SlowBlockParksBoundedPartialsAndKeepsOrder) {
     acc.x = static_cast<double>(g);
     return acc;
   };
-  const auto fold = [](Tracked& acc, std::size_t g, std::size_t i) {
+  const auto sample = [](std::size_t g, std::size_t i) {
     if (g == 0 && i == 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    acc.fold(static_cast<double>(g * 131 + i));
+    return static_cast<double>(g * 131 + i);
   };
   const std::vector<Tracked> expected =
-      serial_ascending_fold<Tracked>(kGroups, kCount, 1, make, fold);
+      serial_ascending_fold<Tracked>(kGroups, kCount, 1, make, sample,
+                                     add_value);
 
   const sim::Executor ex(8);
   g_live = 0;
   g_peak_live = 0;
   const std::vector<Tracked> got =
-      sim::reduce_groups<Tracked>(ex, kGroups, kCount, 1, make, fold);
+      sim::reduce_groups<Tracked>(ex, kGroups, kCount, 1, make, sample,
+                                  add_value);
   ASSERT_EQ(got.size(), kGroups);
   for (std::size_t g = 0; g < kGroups; ++g)
     EXPECT_EQ(got[g].x, expected[g].x) << "group " << g;
   EXPECT_LE(g_peak_live.load(),
             static_cast<std::int64_t>(kGroups +
                                       sim::reduction_in_flight_bound(ex)));
+}
+
+// ---- short-queue slicing ----------------------------------------------------
+
+TEST(ElasticSchedule, ShortQueueSlicesStayBitIdenticalAcrossThreads) {
+  // Fewer block items than threads: the blocks split into slices whose
+  // completions arrive out of order (uneven per-index costs), yet every
+  // block partial must see its samples in ascending index order.
+  const auto make = [](std::size_t g) {
+    OrderSensitive acc;
+    acc.x = static_cast<double>(g) * 0.5;
+    return acc;
+  };
+  const auto sample = [](std::size_t g, std::size_t i) {
+    if ((g * 31 + i) % 11 == 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return static_cast<double>(g * 104729 + i) * 1e-3;
+  };
+  constexpr std::size_t kBlock = 64;
+  struct Shape {
+    std::size_t groups, count;
+  };
+  // 1 x 100 is two blocks (one short); 3 x 64 is one block per group.
+  for (const Shape shape : {Shape{1, 100}, Shape{3, 64}, Shape{1, 5}}) {
+    const std::size_t items =
+        shape.groups * ((shape.count + kBlock - 1) / kBlock);
+    const std::vector<OrderSensitive> expected =
+        serial_ascending_fold<OrderSensitive>(shape.groups, shape.count,
+                                              kBlock, make, sample, add_value);
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << "groups=" << shape.groups
+                                        << " count=" << shape.count
+                                        << " threads=" << threads);
+      const std::size_t slices =
+          sim::slices_per_block(threads, items, kBlock);
+      if (threads == 1) {
+        EXPECT_EQ(slices, 1u);
+      }
+      if (items < threads) {
+        EXPECT_GT(slices, 1u);
+      }
+      const sim::Executor ex(threads);
+      std::vector<int> completions(shape.groups, 0);
+      const std::vector<OrderSensitive> got =
+          sim::reduce_groups<OrderSensitive>(
+              ex, shape.groups, shape.count, kBlock, make, sample, add_value,
+              [&](std::size_t g, double) { ++completions[g]; });
+      ASSERT_EQ(got.size(), shape.groups);
+      for (std::size_t g = 0; g < shape.groups; ++g) {
+        EXPECT_EQ(got[g].x, expected[g].x) << "group " << g;
+        EXPECT_EQ(got[g].folds, shape.count);
+        EXPECT_EQ(completions[g], 1);
+      }
+    }
+  }
+  // A long queue is never sliced.
+  EXPECT_EQ(sim::slices_per_block(4, 8, 256), 1u);
+  EXPECT_EQ(sim::slices_per_block(4, 7, 256), 3u);
+}
+
+/// A sample value that counts live instances into g_live (a moved-from
+/// or consumed sample no longer counts), so buffered slices show up in
+/// the same in-flight tally as the Tracked partials.
+struct TrackedSample {
+  double v = 0.0;
+  bool counted = false;
+  explicit TrackedSample(double value) : v(value), counted(true) {
+    Tracked::note();
+  }
+  TrackedSample(TrackedSample&& o) noexcept : v(o.v), counted(o.counted) {
+    o.counted = false;
+  }
+  TrackedSample(const TrackedSample&) = delete;
+  TrackedSample& operator=(const TrackedSample&) = delete;
+  TrackedSample& operator=(TrackedSample&&) = delete;
+  ~TrackedSample() { release(); }
+  void release() {
+    if (counted) g_live.fetch_sub(1);
+    counted = false;
+  }
+};
+
+TEST(ElasticSchedule, SlicedReductionHoldsItsInFlightBound) {
+  // One block of 32 on 8 threads -> 32 one-index slices, the first of
+  // which stalls: every later slice must buffer, the buffered slices
+  // count against the park cap (so claims stop once it fills, well
+  // before the 31 other slices are all computed), and the partials plus
+  // buffered slices alive at once stay within reduction_in_flight_bound
+  // (plus one sample per thread on its way from sample() to add()).
+  constexpr std::size_t kGroups = 1;
+  constexpr std::size_t kCount = 32;
+  const sim::Executor ex(8);
+  ASSERT_EQ(sim::slices_per_block(ex.thread_count(), 1, kCount), kCount);
+  const auto make = [](std::size_t g) {
+    Tracked acc;
+    acc.x = static_cast<double>(g) + 0.5;
+    return acc;
+  };
+  std::atomic<bool> first_done{false};
+  std::atomic<std::size_t> computed_while_stalled{0};
+  const auto sample = [&](std::size_t g, std::size_t i) {
+    if (i == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      first_done = true;
+    } else if (!first_done) {
+      computed_while_stalled.fetch_add(1);
+    }
+    return TrackedSample(static_cast<double>(g * 131 + i));
+  };
+  const auto add = [](Tracked& acc, TrackedSample&& s) {
+    acc.fold(s.v);
+    s.release();
+  };
+  const std::vector<Tracked> expected = serial_ascending_fold<Tracked>(
+      kGroups, kCount, kCount, make,
+      [](std::size_t g, std::size_t i) {
+        return static_cast<double>(g * 131 + i);
+      },
+      add_value);
+
+  g_live = 0;
+  g_peak_live = 0;
+  const std::vector<Tracked> got = sim::reduce_groups<Tracked>(
+      ex, kGroups, kCount, kCount, make, sample, add);
+  ASSERT_EQ(got.size(), kGroups);
+  EXPECT_EQ(got[0].x, expected[0].x);
+  EXPECT_EQ(got[0].folds, kCount);
+  EXPECT_LE(computed_while_stalled.load(),
+            sim::kParkedPerThread * ex.thread_count() + ex.thread_count());
+  EXPECT_LE(g_peak_live.load(),
+            static_cast<std::int64_t>(kGroups +
+                                      sim::reduction_in_flight_bound(ex) +
+                                      ex.thread_count()));
+}
+
+TEST(ElasticSchedule, ExceptionInSlicedBlockStopsClaimsAndRethrows) {
+  // One block on 4 threads -> 16 slices of 4. A failure in a later slice
+  // (thrown by sample on its computing thread) or in the prefix add that
+  // absorbs a buffered slice must stop further claims and surface.
+  constexpr std::size_t kCount = 64;
+  const sim::Executor ex(4);
+  ASSERT_EQ(sim::slices_per_block(ex.thread_count(), 1, kCount), 16u);
+  const auto make = [](std::size_t) { return OrderSensitive{}; };
+  for (const bool in_add : {false, true}) {
+    SCOPED_TRACE(in_add ? "throw in add" : "throw in sample");
+    std::atomic<std::size_t> samples{0};
+    const auto sample = [&](std::size_t, std::size_t i) {
+      samples.fetch_add(1);
+      if (!in_add && i == 4) throw std::runtime_error("sample failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return static_cast<double>(i);
+    };
+    const auto add = [&](OrderSensitive& acc, double v) {
+      if (in_add && v == 4.0) throw std::runtime_error("add failed");
+      acc.fold(v);
+    };
+    EXPECT_THROW(
+        {
+          const auto out = sim::reduce_groups<OrderSensitive>(
+              ex, 1, kCount, kCount, make, sample, add);
+          (void)out;
+        },
+        std::runtime_error);
+    EXPECT_LT(samples.load(), kCount);
+  }
 }
 
 // ---- thread-count equivalence at the measurement engine --------------------

@@ -28,6 +28,7 @@
 #include "obs/metrics.h"
 #include "scenario/presets.h"
 #include "sim/executor.h"
+#include "sim/shard_plan.h"
 #include "stats/rng.h"
 
 namespace divsec {
@@ -379,6 +380,80 @@ TEST_F(SoaKernelFixture, LazyContextsShareIndexesAndBoundResidency) {
     EXPECT_EQ(snap.counter("core.context.built"), 65u);
     EXPECT_EQ(snap.counter("core.context.reach_builds"), 2u);
   }
+#endif
+}
+
+TEST_F(SoaKernelFixture, CarriedContextsAcrossCallsChangeNoBits) {
+  // A 64-cell plan measured superblock round by superblock round on one
+  // engine — the adaptive driver's call pattern — must give the bits of
+  // one whole call. The engine carries a bounded set of contexts from
+  // round to round and keeps the shared index alive while it does: one
+  // reach build for the run, and never more than the carry cap plus a
+  // pool's worth of contexts alive.
+  core::ScenarioSweepPlan plan;
+  for (std::uint64_t c = 0; c < 64; ++c)
+    plan.cells.push_back(
+        {scenario::make_preset("plant_small", cat, 17,
+                               scenario::VariantPolicy::kMonoculture)
+             .scenario,
+         2000 + c});
+  sim::Executor pool{4};
+  core::MeasurementOptions mo;
+  mo.replications = 12;
+  mo.replication_block = 2;
+  mo.superblock = 4;  // 3 superblocks per cell
+  mo.executor = &pool;
+  const core::MeasurementEngine whole_engine(cat, stuxnet, mo);
+  const sim::ShardPlan shard = whole_engine.shard_plan(plan.cell_count());
+  const std::size_t per_cell = shard.superblocks_per_group();
+  ASSERT_EQ(per_cell, 3u);
+  std::vector<std::uint64_t> all(shard.task_count());
+  for (std::size_t t = 0; t < all.size(); ++t) all[t] = t;
+  const std::vector<core::IndicatorAccumulator> whole =
+      whole_engine.measure_scenario_tasks(plan, shard, all);
+
+  obs::reset();
+  const core::MeasurementEngine engine(cat, stuxnet, mo);
+  std::vector<core::IndicatorAccumulator> rounds(all.size());
+  // Cells 8..15 sit round 1 out and then trail the others by one
+  // superblock: their carried contexts are dropped when a call does not
+  // list them, and rebuilt when they return.
+  const auto lagging = [](std::size_t c) { return c >= 8 && c < 16; };
+  for (std::size_t round = 0; round <= per_cell; ++round) {
+    std::vector<std::uint64_t> tasks;
+    for (std::size_t c = 0; c < plan.cell_count(); ++c) {
+      const std::size_t sb =
+          lagging(c) && round >= 1 ? round - 1 : round;
+      if (sb < per_cell && (round != 1 || !lagging(c)))
+        tasks.push_back(c * per_cell + sb);
+    }
+    const auto partials = engine.measure_scenario_tasks(plan, shard, tasks);
+    ASSERT_EQ(partials.size(), tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+      rounds[tasks[i]] = partials[i];
+  }
+
+  for (std::size_t t = 0; t < all.size(); ++t) {
+    SCOPED_TRACE(::testing::Message() << "task " << t);
+    const core::IndicatorSummary a = rounds[t].summarize();
+    const core::IndicatorSummary b = whole[t].summarize();
+    EXPECT_EQ(rounds[t].count(), whole[t].count());
+    EXPECT_EQ(a.tta.mean(), b.tta.mean());
+    EXPECT_EQ(a.tta.variance(), b.tta.variance());
+    EXPECT_EQ(a.ttsf.mean(), b.ttsf.mean());
+    EXPECT_EQ(a.final_ratio.mean(), b.final_ratio.mean());
+    EXPECT_EQ(a.successes, b.successes);
+    EXPECT_EQ(a.tta_event.restricted_mean, b.tta_event.restricted_mean);
+    EXPECT_EQ(a.ttsf_event.q90, b.ttsf_event.q90);
+  }
+#if DIVSEC_OBS
+  const obs::Snapshot snap = obs::snapshot();
+  EXPECT_EQ(snap.counter("core.context.reach_builds"), 1u);
+  EXPECT_LE(snap.gauge("core.context.peak_live"),
+            core::kCarriedContextsPerThread * pool.thread_count() +
+                pool.thread_count());
+  // Carrying saved builds: fewer than one per listed (cell, call).
+  EXPECT_LT(snap.counter("core.context.built"), 64u * per_cell);
 #endif
 }
 

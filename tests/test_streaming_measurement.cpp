@@ -166,12 +166,16 @@ TEST(StreamingMeasurementEdge, EmptyRangesAreWellDefined) {
   // group still completes once, after zero seconds of folding); with zero
   // groups it returns an empty vector.
   const auto make = [](std::size_t) { return IndicatorAccumulator(1.0, 4); };
-  const auto fold = [](IndicatorAccumulator&, std::size_t, std::size_t) {
-    FAIL() << "fold must not run on an empty range";
+  const auto sample = [](std::size_t, std::size_t) {
+    ADD_FAILURE() << "sample must not run on an empty range";
+    return IndicatorSample{};
+  };
+  const auto add = [](IndicatorAccumulator&, const IndicatorSample&) {
+    ADD_FAILURE() << "add must not run on an empty range";
   };
   std::vector<std::size_t> completions(3, 0);
   const auto none = sim::reduce_groups<IndicatorAccumulator>(
-      four, 3, 0, 8, make, fold, [&](std::size_t g, double seconds) {
+      four, 3, 0, 8, make, sample, add, [&](std::size_t g, double seconds) {
         ++completions[g];
         EXPECT_EQ(seconds, 0.0);
       });
@@ -179,7 +183,7 @@ TEST(StreamingMeasurementEdge, EmptyRangesAreWellDefined) {
   for (const auto& acc : none) EXPECT_EQ(acc.count(), 0u);
   EXPECT_EQ(completions, (std::vector<std::size_t>{1, 1, 1}));
   const auto empty = sim::reduce_groups<IndicatorAccumulator>(
-      four, 0, 100, 8, make, fold);
+      four, 0, 100, 8, make, sample, add);
   EXPECT_TRUE(empty.empty());
   // An empty measurement plan measures to an empty summary list.
   divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
