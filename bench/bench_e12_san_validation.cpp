@@ -68,9 +68,10 @@ void print_erlang_chain() {
     SanModel m;
     std::vector<san::PlaceId> places;
     for (int i = 0; i <= k; ++i)
-      places.push_back(m.add_place("s" + std::to_string(i), i == 0 ? 1 : 0));
+      places.push_back(
+          m.add_place(std::string("s").append(std::to_string(i)), i == 0 ? 1 : 0));
     for (int i = 0; i < k; ++i) {
-      const auto a = m.add_timed_activity("t" + std::to_string(i),
+      const auto a = m.add_timed_activity(std::string("t").append(std::to_string(i)),
                                           stats::Exponential{2.0});
       m.add_input_arc(a, places[static_cast<std::size_t>(i)]);
       m.add_output_arc(a, places[static_cast<std::size_t>(i) + 1]);

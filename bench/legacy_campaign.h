@@ -1,18 +1,20 @@
 // legacy_campaign.h — the PRE-REFACTOR campaign inner loop, preserved
-// verbatim as the perf baseline for the indexed campaign engine.
+// verbatim as the independent oracle and speed yardstick of the campaign
+// kernel (attack::CampaignSimulator).
 //
 // This is the PR-1 implementation: std::string event labels, per-node
 // linear scans (compromised_count, effective_spoof, alarm polling, the
 // per-attempt PLC candidate rebuild), per-call topology/firewall walks in
 // can_reach, per-event VariantCatalog lookups, and the generic
 // sim::Simulator core (std::function handlers + unordered_map + shared
-// priority queue). The refactored attack::CampaignSimulator samples the
-// SAME indicator distributions through different RNG draws (its
-// superposed-Poisson scheduling is exact but consumes the stream in a
-// different order), so per-replication results are NOT comparable seed
-// by seed. bench_e5 --fleet-smoke asserts (a) statistical equivalence of
-// the indicator means (5-sigma gate) and (b) a >= 5x per-replication
-// speedup on a generated enterprise fleet.
+// priority queue). The kernel samples the SAME indicator distributions
+// through different RNG draws (exact superpositions over per-class
+// streams, where this engine draws log-based exponentials from one
+// stream), so per-replication results are NOT comparable seed by seed.
+// bench_e5 --fleet-smoke asserts (a) statistical equivalence of the
+// indicator means (5-sigma gate) and (b) a >= 5x per-replication speedup
+// of the kernel on a generated enterprise fleet;
+// tests/test_soa_campaign.cpp repeats (a).
 //
 // Bench-only code: nothing in src/ may include this header.
 #pragma once

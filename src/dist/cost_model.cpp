@@ -144,8 +144,10 @@ std::string encode_task_plan(const TaskPlan& plan) {
   for (std::size_t s = 0; s < plan.shards.size(); ++s) {
     out += "shard " + std::to_string(s) + " " +
            std::to_string(plan.shards[s].size());
-    for (const std::uint64_t t : plan.shards[s])
-      out += " " + std::to_string(t);
+    for (const std::uint64_t t : plan.shards[s]) {
+      out += ' ';
+      out += std::to_string(t);
+    }
     out += "\n";
   }
   return out;

@@ -918,8 +918,11 @@ std::string accumulator_json(const core::IndicatorAccumulator::State& state) {
     std::string c;
     for (std::size_t i = 0; i < s.centroids.size(); ++i) {
       if (i) c += ", ";
-      c += "[" + json_number_exact(s.centroids[i].mean) + ", " +
-           std::to_string(s.centroids[i].weight) + "]";
+      c += '[';
+      c += json_number_exact(s.centroids[i].mean);
+      c += ", ";
+      c += std::to_string(s.centroids[i].weight);
+      c += ']';
     }
     return "{\"compression\": " + json_number_exact(s.compression) +
            ", \"min\": " + json_number_exact(s.min) +
@@ -952,10 +955,16 @@ std::string accumulator_json(const core::IndicatorAccumulator::State& state) {
            ", \"n\": " + std::to_string(s.n) + ", \"sums\": [" + sums + "]}";
   };
   const auto censored = [&](const stats::CensoredTimeAccumulator::State& s) {
-    return "{\"moments\": " + online(s.moments) +
-           ", \"censored\": " + std::to_string(s.censored) +
-           ", \"times\": " + digest(s.times) +
-           ", \"survival\": " + survival(s.survival) + "}";
+    std::string out = "{\"moments\": ";
+    out += online(s.moments);
+    out += ", \"censored\": ";
+    out += std::to_string(s.censored);
+    out += ", \"times\": ";
+    out += digest(s.times);
+    out += ", \"survival\": ";
+    out += survival(s.survival);
+    out += '}';
+    return out;
   };
   return "{\"horizon\": " + json_number_exact(state.horizon) +
          ", \"n\": " + std::to_string(state.n) +

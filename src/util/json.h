@@ -43,9 +43,13 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Quoted, escaped JSON string literal.
+/// Quoted, escaped JSON string literal. Built by appends: gcc 12's
+/// -Wrestrict misfires on `"literal" + std::string&&` at -O3.
 inline std::string json_string(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
 }
 
 /// JSON number or null: printf's "%f" renders non-finite doubles as

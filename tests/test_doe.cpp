@@ -103,7 +103,8 @@ class PlackettBurman : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PlackettBurman, ColumnsAreOrthogonalAndBalanced) {
   const std::size_t k = GetParam();
   std::vector<std::string> names;
-  for (std::size_t i = 0; i < k; ++i) names.push_back("F" + std::to_string(i));
+  for (std::size_t i = 0; i < k; ++i)
+    names.push_back(std::string("F").append(std::to_string(i)));
   const auto d = plackett_burman(names);
   EXPECT_GT(d.run_count(), k);
   EXPECT_EQ(d.run_count() % 4, 0u);

@@ -11,7 +11,8 @@ namespace {
 Topology chain(std::size_t n) {
   Topology t;
   for (std::size_t i = 0; i < n; ++i)
-    t.add_node("n" + std::to_string(i), Zone::kCorporate, Role::kWorkstation);
+    t.add_node(std::string("n").append(std::to_string(i)), Zone::kCorporate,
+               Role::kWorkstation);
   for (std::size_t i = 0; i + 1 < n; ++i) t.connect(i, i + 1);
   return t;
 }

@@ -4,7 +4,13 @@
 Every bench binary writes BENCH_<name>.json records ({name, wall_ms,
 threads, speedup, peak_mb}); this tool compares freshly produced files
 against the committed baselines in bench/baselines/ and fails (exit 1)
-when a metric regresses past its tolerance:
+when a metric regresses past its tolerance. Records are keyed on
+(name, threads): a record is compared only with a baseline recorded at
+the same thread count, because walls and footprints (in-flight block
+partials grow with the thread count) differ by design across counts. A
+record produced at a thread count its baseline was not recorded at is a
+failure naming both counts — pin DIVSEC_THREADS to the baselines' count
+or refresh them at the new one.
 
   * wall_ms   may not rise above baseline * (1 + --wall-tol); getting
               faster is always fine. Records whose baseline wall is
@@ -16,8 +22,8 @@ when a metric regresses past its tolerance:
               a floor that fits its own scale instead of being silently
               exempted by the global 5 ms default.
   * speedup   may not fall below baseline * (1 - --speedup-tol) — the
-              speedup floors (e.g. the indexed-engine 5x, the elastic
-              worst-shard 1.3x improvement).
+              speedup floors (e.g. the kernel's ratio over the legacy
+              oracle, the elastic worst-shard 1.3x improvement).
   * peak_mb   may not rise above baseline * (1 + --peak-tol) — the
               footprint ceilings (aggregation state, peak-RSS deltas).
               null baselines or null measurements skip the check.
@@ -48,11 +54,12 @@ DEFAULT_BASELINE_DIR = os.path.join(os.path.dirname(__file__), "..", "bench",
 
 
 def load_records(path):
+    """Records keyed on (name, threads)."""
     with open(path) as f:
         data = json.load(f)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of bench records")
-    return {r["name"]: r for r in data}
+    return {(r["name"], r.get("threads")): r for r in data}
 
 
 def num(value):
@@ -68,12 +75,24 @@ def check_file(produced_path, baseline_path, args, failures, notes):
     baseline = load_records(baseline_path)
     name = os.path.basename(produced_path)
 
-    for key, base in baseline.items():
-        if key not in produced:
-            failures.append(f"{name}: record '{key}' vanished "
-                            f"(present in baseline, missing from produced)")
+    produced_threads = {}
+    for key, threads in produced:
+        produced_threads.setdefault(key, []).append(threads)
+
+    for (key, threads), base in baseline.items():
+        got = produced.get((key, threads))
+        if got is None:
+            ran_at = produced_threads.get(key)
+            if ran_at:
+                counts = ", ".join(str(t) for t in ran_at)
+                failures.append(
+                    f"{name}: '{key}' ran at threads={counts} but its "
+                    f"baseline was recorded at threads={threads} (run at "
+                    f"threads={threads} or refresh the baseline)")
+            else:
+                failures.append(f"{name}: record '{key}' vanished "
+                                f"(present in baseline, missing from produced)")
             continue
-        got = produced[key]
 
         base_wall, got_wall = num(base.get("wall_ms")), num(got.get("wall_ms"))
         floor = num(base.get("wall_floor_ms"))
@@ -84,8 +103,8 @@ def check_file(produced_path, baseline_path, args, failures, notes):
             limit = base_wall * (1.0 + args.wall_tol)
             if got_wall > limit:
                 failures.append(
-                    f"{name}: '{key}' wall_ms {got_wall:.1f} exceeds "
-                    f"{limit:.1f} (baseline {base_wall:.1f} "
+                    f"{name}: '{key}' wall_ms {got_wall:.4g} exceeds "
+                    f"{limit:.4g} (baseline {base_wall:.4g} "
                     f"+{args.wall_tol:.0%})")
 
         base_speed, got_speed = num(base.get("speedup")), num(got.get("speedup"))
@@ -116,10 +135,11 @@ def check_file(produced_path, baseline_path, args, failures, notes):
                     f"{ceiling:.0f} (baseline {base_state:.0f} "
                     f"+{args.state_tol:.0%})")
 
-    for key in produced:
-        if key not in baseline:
-            notes.append(f"{name}: new record '{key}' has no baseline "
-                         f"(run with --update to adopt it)")
+    baseline_names = {key for key, _ in baseline}
+    for key, threads in produced:
+        if key not in baseline_names:
+            notes.append(f"{name}: new record '{key}' (threads={threads}) "
+                         f"has no baseline (run with --update to adopt it)")
 
 
 def main():

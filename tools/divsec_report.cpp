@@ -27,13 +27,13 @@
 //   divsec_report --from-merged FILE_merged.state [--out prefix]
 //   divsec_report --help | --version
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/report.h"
 #include "dist/sweep.h"
+#include "util/parse.h"
 #include "util/version.h"
 
 using namespace divsec;
@@ -78,6 +78,18 @@ ParseResult parse(int argc, char** argv, Args& args) {
       }
       return argv[++i];
     };
+    const auto need_u64 = [&](auto& out) {
+      const char* v = need_value();
+      if (!v) return false;
+      const std::optional<std::uint64_t> n = util::parse_u64(v);
+      if (!n) {
+        std::fprintf(stderr, "bad value for %s: '%s' (want an unsigned integer)\n",
+                     flag.c_str(), v);
+        return false;
+      }
+      out = *n;
+      return true;
+    };
     if (flag == "--threat") {
       const char* v = need_value();
       if (!v) return ParseResult::kError;
@@ -87,17 +99,11 @@ ParseResult parse(int argc, char** argv, Args& args) {
       if (!v) return ParseResult::kError;
       args.engine = v;
     } else if (flag == "--replications") {
-      const char* v = need_value();
-      if (!v) return ParseResult::kError;
-      args.replications = std::strtoull(v, nullptr, 10);
+      if (!need_u64(args.replications)) return ParseResult::kError;
     } else if (flag == "--seed") {
-      const char* v = need_value();
-      if (!v) return ParseResult::kError;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!need_u64(args.seed)) return ParseResult::kError;
     } else if (flag == "--levels") {
-      const char* v = need_value();
-      if (!v) return ParseResult::kError;
-      args.levels = std::strtoull(v, nullptr, 10);
+      if (!need_u64(args.levels)) return ParseResult::kError;
     } else if (flag == "--components") {
       const char* v = need_value();
       if (!v) return ParseResult::kError;

@@ -59,6 +59,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -74,6 +75,7 @@
 #include "obs/trace.h"
 #include "sim/executor.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/version.h"
 
 using namespace divsec;
@@ -228,19 +230,15 @@ scenario::VariantPolicy parse_policy(const std::string& name) {
 }
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0')
-    die("bad number for " + flag + ": " + value);
-  return v;
+  const std::optional<std::uint64_t> v = util::parse_u64(value);
+  if (!v) die("bad value for " + flag + ": '" + value + "' (want an unsigned integer)");
+  return *v;
 }
 
 double parse_f64(const std::string& flag, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0')
-    die("bad number for " + flag + ": " + value);
-  return v;
+  const std::optional<double> v = util::parse_f64(value);
+  if (!v) die("bad value for " + flag + ": '" + value + "' (want a non-negative number)");
+  return *v;
 }
 
 /// "i/K" with i < K.
