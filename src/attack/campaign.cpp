@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -174,7 +175,7 @@ struct CampaignTables {
     tunnel_w.assign(n, 0);
     for (NodeId i = 0; i < n; ++i) {
       for (const net::Channel c : pr.channels) {
-        scan_w[i] += reach->scan_targets(c, i).size();
+        scan_w[i] += reach->scan_count(c, i);
         tunnel_w[i] += reach->tunnel_targets(c, i).size();
       }
     }
@@ -280,7 +281,7 @@ struct RunScratch {
   std::vector<std::uint64_t> root_cum;  // cumulative scan+tunnel slots per root
   std::vector<NodeId> payload_sources;  // rooted engineering/SCADA nodes
   std::vector<NodeId> owned_plcs;       // owned targets, in capture order
-  std::vector<NodeId> unowned_targets;  // target_plcs minus owned (swap-remove)
+  std::vector<NodeId> unowned_copy;     // unowned targets after a capture
 };
 
 /// Mutable state of one run() over the read-only CampaignTables and a
@@ -318,7 +319,12 @@ struct RunState {
   std::uint64_t scan_slots = 0;  // == root_cum.back() (0 when no roots)
   std::vector<NodeId>& payload_sources;
   std::vector<NodeId>& owned_plcs;
-  std::vector<NodeId>& unowned_targets;
+  // target_plcs minus owned PLCs, in swap-remove order (contract: the
+  // pool order feeds later picks). Most runs never capture a PLC, so
+  // the pool reads sc.target_plcs until the first capture copies it.
+  std::span<const NodeId> unowned_targets;
+  std::vector<NodeId>& unowned_copy;
+  bool unowned_copied = false;
   std::size_t hosts_owned = 0;      // non-PLC nodes at >= kActivated
   std::size_t activated_count = 0;  // A(t): host-IDS exposure pool
   std::size_t monitoring_owned = 0;  // rooted monitoring-view nodes
@@ -340,7 +346,8 @@ struct RunState {
         root_cum(scratch.root_cum),
         payload_sources(scratch.payload_sources),
         owned_plcs(scratch.owned_plcs),
-        unowned_targets(scratch.unowned_targets) {
+        unowned_targets(s.target_plcs),
+        unowned_copy(scratch.unowned_copy) {
     if (state.size() != tb.node_count)
       state.assign(tb.node_count, NodeState::kClean);
     heap.clear();
@@ -348,7 +355,6 @@ struct RunState {
     root_cum.clear();
     payload_sources.clear();
     owned_plcs.clear();
-    unowned_targets.assign(sc.target_plcs.begin(), sc.target_plcs.end());
     result.compromised_ratio.emplace_back(0.0, 0.0);
   }
 
@@ -523,13 +529,14 @@ struct RunState {
     if (!direct) rem -= tb.scan_w[n];
     NodeId v = 0;
     for (const net::Channel c : pr.channels) {
-      const auto row = direct ? tb.reach->scan_targets(c, n)
-                              : tb.reach->tunnel_targets(c, n);
-      if (rem < row.size()) {
-        v = row[rem];
+      const std::size_t count = direct ? tb.reach->scan_count(c, n)
+                                       : tb.reach->tunnel_targets(c, n).size();
+      if (rem < count) {
+        v = direct ? tb.reach->scan_target(c, n, rem)
+                   : tb.reach->tunnel_targets(c, n)[rem];
         break;
       }
-      rem -= row.size();
+      rem -= count;
     }
     const bool eligible = (tb.flags[v] & CampaignTables::kFlagHostTarget) &&
                           state[v] == NodeState::kClean;
@@ -569,9 +576,7 @@ struct RunState {
         const double p = via_modbus ? tb.plc_modbus_p[plc] : tb.plc_direct_p[plc];
         if (rng.bernoulli(DrawClass::kPayload, p)) {
           owned_plcs.push_back(plc);
-          // Swap-remove (contract): the pool order feeds later picks.
-          unowned_targets[pick] = unowned_targets.back();
-          unowned_targets.pop_back();
+          remove_unowned(pick);
           if (!result.first_plc_compromise) result.first_plc_compromise = now;
           note(plc, CampaignEventKind::kPlcCompromised);
           record_ratio();
@@ -591,6 +596,17 @@ struct RunState {
                     : exp_in(DrawClass::kPayload,
                              pr.payload_rate *
                                  static_cast<double>(payload_sources.size()));
+  }
+
+  /// Swap-removes pool entry `pick`, copying the pool on first use.
+  void remove_unowned(std::size_t pick) {
+    if (!unowned_copied) {
+      unowned_copy.assign(sc.target_plcs.begin(), sc.target_plcs.end());
+      unowned_copied = true;
+    }
+    unowned_copy[pick] = unowned_copy.back();
+    unowned_copy.pop_back();
+    unowned_targets = unowned_copy;
   }
 
   void on_sabotage() {

@@ -76,20 +76,23 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
     // is count / node_count, so the llround recovers the count exactly);
     // the curve accumulator sums these exactly across any merge order.
     // One forward walk of the sorted curve against the ascending edges
-    // takes, per edge, the last step with time <= edge — ratio_at's rule.
+    // takes, per edge, the last step with time <= edge — ratio_at's rule;
+    // the count is rounded only when a bin crosses a new step.
     const std::size_t nodes = ctx.campaign->scenario().topology.node_count();
     s.ratio_scale = static_cast<std::uint64_t>(nodes);
     s.ratio_counts.resize(curve_bins);
     const auto& curve = r.compromised_ratio;
     std::size_t step = 0;
-    double ratio = 0.0;
+    std::uint32_t count = 0;
     for (std::size_t k = 0; k < curve_bins; ++k) {
       const double t = horizon * static_cast<double>(k + 1) /
                        static_cast<double>(curve_bins);
-      for (; step < curve.size() && curve[step].first <= t; ++step)
-        ratio = curve[step].second;
-      s.ratio_counts[k] = static_cast<std::uint32_t>(
-          std::llround(ratio * static_cast<double>(nodes)));
+      const std::size_t first = step;
+      while (step < curve.size() && curve[step].first <= t) ++step;
+      if (step != first)
+        count = static_cast<std::uint32_t>(std::llround(
+            curve[step - 1].second * static_cast<double>(nodes)));
+      s.ratio_counts[k] = count;
     }
   } else {
     san::SanSimulator sim(ctx.san->asan.model, rng);

@@ -29,9 +29,9 @@ MeanFieldEpidemic::MeanFieldEpidemic(const ReachabilityIndex& index,
   for (NodeId s : seeds_)
     if (s >= index.node_count())
       throw std::out_of_range("MeanFieldEpidemic: seed out of range");
-  // The index hands back the in-edge CSR directly from its bit rows; the
-  // old path materialized out-edge vector-of-vectors and inverted them
-  // here — two allocations per node for data the Euler loop reads flat.
+  // The index hands back the in-edge CSR directly; the old path
+  // materialized out-edge vector-of-vectors and inverted them here — two
+  // allocations per node for data the Euler loop reads flat.
   auto csr = index.union_in_csr(channels);
   in_off_ = std::move(csr.off);
   in_edge_ = std::move(csr.edge);

@@ -1,170 +1,125 @@
 #include "net/reachability_index.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace divsec::net {
 
-namespace {
-
-inline void set_row_bit(std::uint64_t* row, NodeId b) noexcept {
-  row[b / 64] |= std::uint64_t{1} << (b % 64);
-}
-
-}  // namespace
-
 ReachabilityIndex::ReachabilityIndex(const Topology& topo, const Firewall& fw)
-    : n_(topo.node_count()), words_((topo.node_count() + 63) / 64) {
-  linked_bits_.assign(n_ * words_, 0);
-  for (const Link& l : topo.links()) {
-    set_row_bit(linked_bits_.data() + l.a * words_, l.b);
-    set_row_bit(linked_bits_.data() + l.b * words_, l.a);
-  }
-
+    : n_(topo.node_count()) {
   // Policy is a pure (zone, zone, channel) relation: evaluate the rule
   // list once per triple instead of once per node pair.
-  bool allow[kZoneCount][kZoneCount][kChannelCount];
+  std::size_t i = 0;
   for (std::size_t za = 0; za < kZoneCount; ++za)
     for (std::size_t zb = 0; zb < kZoneCount; ++zb)
       for (std::size_t ch = 0; ch < kChannelCount; ++ch)
-        allow[za][zb][ch] = fw.allows(static_cast<Zone>(za), static_cast<Zone>(zb),
-                                      static_cast<Channel>(ch));
+        allow_[i++] = fw.allows(static_cast<Zone>(za), static_cast<Zone>(zb),
+                                static_cast<Channel>(ch));
 
-  // Per-channel destination masks: zone_ok[ch][za] marks every node b a
-  // source in zone za may address on channel ch; usb_mask marks every
-  // node with removable-media exposure.
-  std::array<std::array<std::vector<std::uint64_t>, kZoneCount>, kChannelCount>
-      zone_ok;
-  for (auto& per_zone : zone_ok)
-    for (auto& mask : per_zone) mask.assign(words_, 0);
-  std::vector<std::uint64_t> usb_mask(words_, 0);
-  for (NodeId b = 0; b < n_; ++b) {
-    const Node& node = topo.node(b);
-    if (node.usb_exposure) set_row_bit(usb_mask.data(), b);
-    for (std::size_t ch = 0; ch < kChannelCount; ++ch)
-      for (std::size_t za = 0; za < kZoneCount; ++za)
-        if (allow[za][static_cast<std::size_t>(node.zone)][ch])
-          set_row_bit(zone_ok[ch][za].data(), b);
+  // Per-node zone and USB position; neighbour lists as one sorted CSR
+  // (Topology::connect keeps links free of duplicates and self-loops).
+  zone_.resize(n_);
+  usb_pos_.assign(n_, kNotExposed);
+  nbr_off_.assign(n_ + 1, 0);
+  for (NodeId a = 0; a < n_; ++a) {
+    const Node& node = topo.node(a);
+    zone_[a] = static_cast<std::uint8_t>(node.zone);
+    if (node.usb_exposure) {
+      usb_pos_[a] = static_cast<std::uint32_t>(usb_.size());
+      usb_.push_back(static_cast<std::uint32_t>(a));
+    }
+    nbr_off_[a + 1] =
+        nbr_off_[a] + static_cast<std::uint32_t>(topo.neighbors(a).size());
+  }
+  nbr_.resize(nbr_off_[n_]);
+  for (NodeId a = 0; a < n_; ++a) {
+    const auto& adj = topo.neighbors(a);
+    std::uint32_t* row = nbr_.data() + nbr_off_[a];
+    std::copy(adj.begin(), adj.end(), row);
+    std::sort(row, row + adj.size());
   }
 
+  // Scan / tunnel target lists of the network channels: each neighbour
+  // list split by the policy verdict, ascending because the neighbour
+  // list is — the sampling substrate of the campaign kernel's thinned
+  // worm scan. USB needs no list (scan_target computes it).
   for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
-    auto& rows = reach_[ch];
-    rows.assign(n_ * words_, 0);
-    const bool is_usb = static_cast<Channel>(ch) == Channel::kUsb;
+    const Channel c = static_cast<Channel>(ch);
+    if (c == Channel::kUsb) continue;
+    TargetCsr& scan = scan_[ch];
+    TargetCsr& tunnel = tunnel_[ch];
+    scan.off.assign(n_ + 1, 0);
+    tunnel.off.assign(n_ + 1, 0);
     for (NodeId a = 0; a < n_; ++a) {
-      std::uint64_t* row = rows.data() + a * words_;
-      if (is_usb) {
-        // Removable media travel with operators, not over links.
-        if (!topo.node(a).usb_exposure) continue;
-        for (std::size_t w = 0; w < words_; ++w) row[w] = usb_mask[w];
-      } else {
-        const auto& ok = zone_ok[ch][static_cast<std::size_t>(topo.node(a).zone)];
-        const std::uint64_t* lnk = linked_bits_.data() + a * words_;
-        for (std::size_t w = 0; w < words_; ++w) row[w] = lnk[w] & ok[w];
+      for (std::uint32_t k = nbr_off_[a]; k < nbr_off_[a + 1]; ++k) {
+        const std::uint32_t b = nbr_[k];
+        (allows(zone_[a], zone_[b], c) ? scan : tunnel).tgt.push_back(b);
       }
-      row[a / 64] &= ~(std::uint64_t{1} << (a % 64));  // never self-reach
+      scan.off[a + 1] = static_cast<std::uint32_t>(scan.tgt.size());
+      tunnel.off[a + 1] = static_cast<std::uint32_t>(tunnel.tgt.size());
     }
   }
+}
 
-  // Scan / tunnel target lists: the same relations as flat CSR lists,
-  // the sampling substrate of the campaign kernel's thinned worm scan.
-  // `word(a, w)` yields word w of source a's row of the relation.
-  const auto build_csr = [this](TargetCsr& csr, auto&& word) {
-    csr.off.assign(n_ + 1, 0);
-    for (NodeId a = 0; a < n_; ++a) {
-      std::uint32_t count = 0;
-      for (std::size_t w = 0; w < words_; ++w)
-        count += static_cast<std::uint32_t>(std::popcount(word(a, w)));
-      csr.off[a + 1] = csr.off[a] + count;
+ReachabilityIndex::UnionFilter ReachabilityIndex::union_filter(
+    const std::vector<Channel>& channels) const {
+  UnionFilter f;
+  for (const Channel c : channels) {
+    if (c == Channel::kUsb) {
+      f.usb = true;
+      continue;
     }
-    csr.tgt.resize(csr.off[n_]);
-    for (NodeId a = 0; a < n_; ++a) {
-      std::uint32_t* out = csr.tgt.data() + csr.off[a];
-      for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t bits = word(a, w);
-        while (bits) {
-          *out++ = static_cast<std::uint32_t>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-        }
-      }
-    }
+    for (std::size_t za = 0; za < kZoneCount; ++za)
+      for (std::size_t zb = 0; zb < kZoneCount; ++zb)
+        if (allows(static_cast<std::uint8_t>(za), static_cast<std::uint8_t>(zb), c))
+          f.pair_ok[za * kZoneCount + zb] = true;
+  }
+  return f;
+}
+
+void ReachabilityIndex::union_row(NodeId a, bool inbound, const UnionFilter& f,
+                                  std::vector<NodeId>& row) const {
+  row.clear();
+  const std::size_t za = zone_[a];
+  // Merge the policy-passing neighbours with the USB clique (every other
+  // exposed node) when it applies; a node both linked and exposed once.
+  auto u = usb_.begin();
+  const auto u_end = f.usb && usb_pos_[a] != kNotExposed ? usb_.end() : u;
+  const auto take_usb_below = [&](std::size_t bound) {
+    for (; u != u_end && *u < bound; ++u)
+      if (*u != a) row.push_back(*u);
   };
-  for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
-    const std::vector<std::uint64_t>& rows = reach_[ch];
-    build_csr(scan_[ch],
-              [&](NodeId a, std::size_t w) { return rows[a * words_ + w]; });
-    if (static_cast<Channel>(ch) == Channel::kUsb) {
-      tunnel_[ch].off.assign(n_ + 1, 0);  // no tunnelling on removable media
-    } else {
-      build_csr(tunnel_[ch], [&](NodeId a, std::size_t w) {
-        return linked_bits_[a * words_ + w] & ~rows[a * words_ + w];
-      });
-    }
+  for (std::uint32_t k = nbr_off_[a]; k < nbr_off_[a + 1]; ++k) {
+    const std::uint32_t b = nbr_[k];
+    const std::size_t zb = zone_[b];
+    if (!f.pair_ok[inbound ? zb * kZoneCount + za : za * kZoneCount + zb])
+      continue;
+    take_usb_below(b);
+    if (u != u_end && *u == b) ++u;
+    row.push_back(b);
   }
+  take_usb_below(n_);
 }
 
 std::vector<std::vector<NodeId>> ReachabilityIndex::union_graph(
     const std::vector<Channel>& channels) const {
+  const UnionFilter f = union_filter(channels);
   std::vector<std::vector<NodeId>> out(n_);
-  std::vector<std::uint64_t> row(words_);
-  for (NodeId a = 0; a < n_; ++a) {
-    row.assign(words_, 0);
-    for (Channel c : channels) {
-      const std::uint64_t* r = reach_[static_cast<std::size_t>(c)].data() + a * words_;
-      for (std::size_t w = 0; w < words_; ++w) row[w] |= r[w];
-    }
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits) {
-        out[a].push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-      }
-    }
-  }
+  for (NodeId a = 0; a < n_; ++a) union_row(a, false, f, out[a]);
   return out;
 }
 
 ReachabilityIndex::UnionInCsr ReachabilityIndex::union_in_csr(
     const std::vector<Channel>& channels) const {
-  // Two passes over the union rows: count in-degrees, prefix-sum, fill.
-  // Iterating sources in ascending order makes every destination's
-  // source list ascending — the same lists union_graph inverts to.
+  // Each destination's source list is the union row read inbound — the
+  // same relation union_graph lists outbound, inverted.
+  const UnionFilter f = union_filter(channels);
   UnionInCsr csr;
   csr.off.assign(n_ + 1, 0);
-  std::vector<std::uint64_t> row(words_);
-  const auto union_row = [&](NodeId a) {
-    std::fill(row.begin(), row.end(), 0);
-    for (Channel c : channels) {
-      const std::uint64_t* r =
-          reach_[static_cast<std::size_t>(c)].data() + a * words_;
-      for (std::size_t w = 0; w < words_; ++w) row[w] |= r[w];
-    }
-  };
-  for (NodeId a = 0; a < n_; ++a) {
-    union_row(a);
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits) {
-        ++csr.off[w * 64 + static_cast<std::size_t>(std::countr_zero(bits)) + 1];
-        bits &= bits - 1;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n_; ++i) csr.off[i + 1] += csr.off[i];
-  csr.edge.resize(csr.off[n_]);
-  std::vector<std::size_t> cursor(csr.off.begin(), csr.off.end() - 1);
-  for (NodeId a = 0; a < n_; ++a) {
-    union_row(a);
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits) {
-        const std::size_t b =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        csr.edge[cursor[b]++] = a;
-        bits &= bits - 1;
-      }
-    }
+  std::vector<NodeId> row;
+  for (NodeId b = 0; b < n_; ++b) {
+    union_row(b, true, f, row);
+    csr.edge.insert(csr.edge.end(), row.begin(), row.end());
+    csr.off[b + 1] = csr.edge.size();
   }
   return csr;
 }
